@@ -28,7 +28,8 @@ main(int argc, char **argv)
         "Figure 6: aggressive 8-wide core (normalized to 120x80 LSQ)",
         {"lsq120x80", "lsq256", "lsq48", "ENF(tot)"});
 
-    std::vector<double> enf_int, enf_fp;
+    // Every column's per-class samples: [0] int, [1] fp.
+    std::vector<double> cols[2][4];
 
     for (const auto &info : selectedWorkloads(opts)) {
         const Program prog = info.make(wp);
@@ -40,16 +41,20 @@ main(int argc, char **argv)
             presetByName("agg_total"), prog);
 
         const double d = ref.ipc > 0 ? ref.ipc : 1;
-        printRow(info.name,
-                 {ref.ipc, big.ipc / d, small.ipc / d, enf.ipc / d});
+        const std::vector<double> row = {ref.ipc, big.ipc / d,
+                                         small.ipc / d, enf.ipc / d};
+        printRow(info.name, row);
 
-        (info.cls == WorkloadClass::Int ? enf_int : enf_fp)
-            .push_back(enf.ipc / d);
+        auto &c = cols[info.cls == WorkloadClass::Int ? 0 : 1];
+        for (std::size_t i = 0; i < row.size(); ++i)
+            c[i].push_back(row[i]);
     }
 
     std::printf("\n");
-    printRow("int avg", {0.0, 0.0, 0.0, mean(enf_int)});
-    printRow("fp avg", {0.0, 0.0, 0.0, mean(enf_fp)});
+    for (int k = 0; k < 2; ++k)
+        printRow(k ? "fp avg" : "int avg",
+                 {mean(cols[k][0]), mean(cols[k][1]), mean(cols[k][2]),
+                  mean(cols[k][3])});
     std::printf("\npaper: ENF int avg ~0.91, fp avg ~1.02\n");
     return 0;
 }

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign/result_sink.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace slf::campaign
@@ -56,41 +58,6 @@ crc32(const char *data, std::size_t n)
 // JSON writing helpers (canonical: fixed field order, %.17g doubles so
 // every double round-trips bit-exactly through the journal)
 // ---------------------------------------------------------------------
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 roundTripDouble(double v)
@@ -386,38 +353,9 @@ emitResult(std::ostringstream &os, const SimResult &r)
        << ",\"insts\":" << r.insts
        << ",\"ipc\":" << roundTripDouble(r.ipc);
 
-    auto u64 = [&](const char *k, std::uint64_t v) {
-        os << ",\"" << k << "\":" << v;
-    };
-    u64("loads_retired", r.loads_retired);
-    u64("stores_retired", r.stores_retired);
-    u64("branches_retired", r.branches_retired);
-    u64("mispredicts", r.mispredicts);
-    u64("oracle_fixes", r.oracle_fixes);
-    u64("replays", r.replays);
-    u64("load_replays_sfc_corrupt", r.load_replays_sfc_corrupt);
-    u64("load_replays_sfc_partial", r.load_replays_sfc_partial);
-    u64("load_replays_mdt_conflict", r.load_replays_mdt_conflict);
-    u64("store_replays_sfc_conflict", r.store_replays_sfc_conflict);
-    u64("store_replays_mdt_conflict", r.store_replays_mdt_conflict);
-    u64("viol_true", r.viol_true);
-    u64("viol_anti", r.viol_anti);
-    u64("viol_output", r.viol_output);
-    u64("flushes_true", r.flushes_true);
-    u64("flushes_anti", r.flushes_anti);
-    u64("flushes_output", r.flushes_output);
-    u64("spurious_violations", r.spurious_violations);
-    u64("sfc_forwards", r.sfc_forwards);
-    u64("lsq_forwards", r.lsq_forwards);
-    u64("head_bypasses", r.head_bypasses);
-    u64("cam_entries_examined", r.cam_entries_examined);
-    u64("lsq_searches", r.lsq_searches);
-    u64("mdt_accesses", r.mdt_accesses);
-    u64("sfc_accesses", r.sfc_accesses);
-    u64("faults_sfc_mask", r.faults_sfc_mask);
-    u64("faults_sfc_data", r.faults_sfc_data);
-    u64("faults_mdt_evict", r.faults_mdt_evict);
-    u64("faults_fifo_payload", r.faults_fifo_payload);
+#define SLF_JOURNAL_EMIT(name) os << ",\"" #name "\":" << r.name;
+    SLF_SIM_COUNTERS(SLF_JOURNAL_EMIT)
+#undef SLF_JOURNAL_EMIT
 
     os << ",\"checker\":[" << (r.checker_enabled ? 1 : 0) << ","
        << (r.checker_clean ? 1 : 0) << "," << r.check_retirements << ","
@@ -493,35 +431,9 @@ readResult(const Jv &v, SimResult &r)
     u64("insts", r.insts);
     if (const Jv *f = v.find("ipc"))
         r.ipc = f->integral ? double(f->u) : f->num;
-    u64("loads_retired", r.loads_retired);
-    u64("stores_retired", r.stores_retired);
-    u64("branches_retired", r.branches_retired);
-    u64("mispredicts", r.mispredicts);
-    u64("oracle_fixes", r.oracle_fixes);
-    u64("replays", r.replays);
-    u64("load_replays_sfc_corrupt", r.load_replays_sfc_corrupt);
-    u64("load_replays_sfc_partial", r.load_replays_sfc_partial);
-    u64("load_replays_mdt_conflict", r.load_replays_mdt_conflict);
-    u64("store_replays_sfc_conflict", r.store_replays_sfc_conflict);
-    u64("store_replays_mdt_conflict", r.store_replays_mdt_conflict);
-    u64("viol_true", r.viol_true);
-    u64("viol_anti", r.viol_anti);
-    u64("viol_output", r.viol_output);
-    u64("flushes_true", r.flushes_true);
-    u64("flushes_anti", r.flushes_anti);
-    u64("flushes_output", r.flushes_output);
-    u64("spurious_violations", r.spurious_violations);
-    u64("sfc_forwards", r.sfc_forwards);
-    u64("lsq_forwards", r.lsq_forwards);
-    u64("head_bypasses", r.head_bypasses);
-    u64("cam_entries_examined", r.cam_entries_examined);
-    u64("lsq_searches", r.lsq_searches);
-    u64("mdt_accesses", r.mdt_accesses);
-    u64("sfc_accesses", r.sfc_accesses);
-    u64("faults_sfc_mask", r.faults_sfc_mask);
-    u64("faults_sfc_data", r.faults_sfc_data);
-    u64("faults_mdt_evict", r.faults_mdt_evict);
-    u64("faults_fifo_payload", r.faults_fifo_payload);
+#define SLF_JOURNAL_READ(name) u64(#name, r.name);
+    SLF_SIM_COUNTERS(SLF_JOURNAL_READ)
+#undef SLF_JOURNAL_READ
 
     if (const Jv *f = v.find("checker")) {
         if (f->t != Jv::T::Arr || f->arr.size() != 5)
@@ -876,21 +788,6 @@ validPrefixBytes(const std::string &path)
     return valid;
 }
 
-/** fsync the directory containing @p path (so a fresh file's directory
- *  entry is durable too). Best-effort: some filesystems refuse. */
-void
-fsyncParentDir(const std::string &path)
-{
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        ::fsync(dfd);
-        ::close(dfd);
-    }
-}
-
 void
 writeFully(int fd, const char *data, std::size_t n,
            const std::string &path)
@@ -958,7 +855,7 @@ JobJournal::JobJournal(std::string path,
             fatal("journal '" + path_ + "': fsync failed");
     }
     // Make the journal's existence durable alongside its header.
-    fsyncParentDir(path_);
+    ResultSink::fsyncParentDir(path_);
 }
 
 JobJournal::~JobJournal()
@@ -1037,23 +934,7 @@ JobJournal::compact(const std::string &path,
 
     // tmp + fsync + rename: a death at any point leaves either the old
     // journal or the fully-written new one, never a mix.
-    const std::string tmp =
-        path + ".compact." + std::to_string(::getpid());
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        fatal("journal '" + tmp +
-              "': cannot open for compaction: " + std::strerror(errno));
-    writeFully(fd, content.data(), content.size(), tmp);
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        fatal("journal '" + tmp + "': fsync failed");
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path.c_str()) != 0)
-        fatal("journal '" + path + "': compaction rename failed: " +
-              std::strerror(errno));
-    fsyncParentDir(path);
+    ResultSink::writeFileAtomic(path, content);
 }
 
 } // namespace slf::campaign

@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace slf::campaign
@@ -16,41 +17,6 @@ namespace slf::campaign
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Fixed %.6f rendering so output is platform- and locale-stable. */
 std::string
@@ -65,41 +31,13 @@ void
 emitCounters(std::ostringstream &os, const std::string &indent,
              const SimResult &r)
 {
-    auto u64 = [&](const char *k, std::uint64_t v) {
-        os << indent << "\"" << k << "\": " << v << ",\n";
-    };
     os << indent << "\"cycles\": " << r.cycles << ",\n";
     os << indent << "\"insts\": " << r.insts << ",\n";
     os << indent << "\"ipc\": " << jsonDouble(r.ipc) << ",\n";
-    u64("loads_retired", r.loads_retired);
-    u64("stores_retired", r.stores_retired);
-    u64("branches_retired", r.branches_retired);
-    u64("mispredicts", r.mispredicts);
-    u64("oracle_fixes", r.oracle_fixes);
-    u64("replays", r.replays);
-    u64("load_replays_sfc_corrupt", r.load_replays_sfc_corrupt);
-    u64("load_replays_sfc_partial", r.load_replays_sfc_partial);
-    u64("load_replays_mdt_conflict", r.load_replays_mdt_conflict);
-    u64("store_replays_sfc_conflict", r.store_replays_sfc_conflict);
-    u64("store_replays_mdt_conflict", r.store_replays_mdt_conflict);
-    u64("viol_true", r.viol_true);
-    u64("viol_anti", r.viol_anti);
-    u64("viol_output", r.viol_output);
-    u64("flushes_true", r.flushes_true);
-    u64("flushes_anti", r.flushes_anti);
-    u64("flushes_output", r.flushes_output);
-    u64("spurious_violations", r.spurious_violations);
-    u64("sfc_forwards", r.sfc_forwards);
-    u64("lsq_forwards", r.lsq_forwards);
-    u64("head_bypasses", r.head_bypasses);
-    u64("cam_entries_examined", r.cam_entries_examined);
-    u64("lsq_searches", r.lsq_searches);
-    u64("mdt_accesses", r.mdt_accesses);
-    u64("sfc_accesses", r.sfc_accesses);
-    u64("faults_sfc_mask", r.faults_sfc_mask);
-    u64("faults_sfc_data", r.faults_sfc_data);
-    u64("faults_mdt_evict", r.faults_mdt_evict);
-    u64("faults_fifo_payload", r.faults_fifo_payload);
+#define SLF_SINK_EMIT(name)                                             \
+    os << indent << "\"" #name "\": " << r.name << ",\n";
+    SLF_SIM_COUNTERS(SLF_SINK_EMIT)
+#undef SLF_SINK_EMIT
     os << indent << "\"violation_rate\": "
        << jsonDouble(r.violationRate()) << ",\n";
     os << indent << "\"load_replay_rate\": "
@@ -362,6 +300,12 @@ ResultSink::writeFileAtomic(const std::string &path,
     }
 
     // fsync the parent directory so the rename itself is durable.
+    fsyncParentDir(path);
+}
+
+void
+ResultSink::fsyncParentDir(const std::string &path)
+{
     const std::size_t slash = path.find_last_of('/');
     const std::string dir =
         slash == std::string::npos ? "." : path.substr(0, slash + 1);

@@ -97,6 +97,10 @@ class ResultSink
     /** Atomically replace @p path with @p content (tmp + rename). */
     static void writeFileAtomic(const std::string &path,
                                 const std::string &content);
+
+    /** fsync the directory containing @p path, so a new or renamed
+     *  entry is durable too. Best-effort: some filesystems refuse. */
+    static void fsyncParentDir(const std::string &path);
 };
 
 } // namespace slf::campaign

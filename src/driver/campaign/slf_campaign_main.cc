@@ -122,6 +122,7 @@
 #include "obs/analysis/lifetime.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/trace_sink.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "verify/expectation.hh"
 #include "workloads/micro_corpus.hh"
@@ -359,19 +360,10 @@ main(int argc, char **argv)
             for (const MicroTest &t : corpus)
                 by_name.emplace(t.name, &t);
 
-            const auto esc = [](const std::string &s) {
-                std::string out;
-                for (char ch : s) {
-                    if (ch == '"' || ch == '\\')
-                        out += '\\';
-                    out += ch;
-                }
-                return out;
-            };
             std::ostringstream rep;
             rep << "{\n  \"schema_version\": 1,\n"
                 << "  \"campaign\": \"micro\",\n"
-                << "  \"corpus\": \"" << esc(sopts.corpus_dir)
+                << "  \"corpus\": \"" << jsonEscape(sopts.corpus_dir)
                 << "\",\n  \"tests\": [\n";
             bool first = true;
             for (const JobResult &jr : results) {
@@ -408,8 +400,10 @@ main(int argc, char **argv)
                 rep << (first ? "" : ",\n");
                 first = false;
                 rep << "    {\n      \"job\": " << jr.index
-                    << ",\n      \"config\": \"" << esc(jr.config_name)
-                    << "\",\n      \"workload\": \"" << esc(jr.workload)
+                    << ",\n      \"config\": \""
+                    << jsonEscape(jr.config_name)
+                    << "\",\n      \"workload\": \""
+                    << jsonEscape(jr.workload)
                     << "\",\n      \"status\": \""
                     << jobStatusName(jr.status)
                     << "\",\n      \"expectations\": " << applicable
@@ -417,7 +411,7 @@ main(int argc, char **argv)
                     << ",\n      \"failures\": [";
                 for (std::size_t i = 0; i < fails.size(); ++i)
                     rep << (i ? ", " : "") << '"'
-                        << esc(fails[i].toString()) << '"';
+                        << jsonEscape(fails[i].toString()) << '"';
                 rep << "]\n    }";
             }
             rep << "\n  ],\n  \"total_expectations\": " << expect_total

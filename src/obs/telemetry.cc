@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace slf::obs
@@ -54,21 +55,6 @@ splitSeries(const std::string &series, std::string &base,
     labels = series.substr(brace + 1,
                            series.size() - brace -
                                (series.back() == '}' ? 2 : 1));
-}
-
-/** Escape a series name for use as a JSON object key (label values
- *  carry literal quotes: `x_total{backend="timing"}`). */
-std::string
-jsonKeyEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /** Re-assemble a series name with an extra label appended. */
@@ -244,7 +230,7 @@ MetricsRegistry::toJson() const
     os << "{";
     bool first = true;
     for (const auto &kv : entries_) {
-        os << (first ? "" : ",") << "\"" << jsonKeyEscape(kv.first)
+        os << (first ? "" : ",") << "\"" << jsonEscape(kv.first)
            << "\":";
         first = false;
         const Entry &e = kv.second;

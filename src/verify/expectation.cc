@@ -14,50 +14,21 @@ namespace
 
 using StatGetter = std::uint64_t (*)(const SimResult &);
 
-/** Canonical counter names (the ResultSink JSON spelling) -> getters.
- *  Keep in sync with ResultSink::emitCounters. */
+/** Canonical counter names (the ResultSink JSON spelling) -> getters. */
 const std::map<std::string, StatGetter, std::less<>> &
 statTable()
 {
     static const std::map<std::string, StatGetter, std::less<>> table = {
 #define STAT(name) \
-    {#name, [](const SimResult &r) { return std::uint64_t(r.name); }}
-        STAT(cycles),
-        STAT(insts),
-        STAT(loads_retired),
-        STAT(stores_retired),
-        STAT(branches_retired),
-        STAT(mispredicts),
-        STAT(oracle_fixes),
-        STAT(replays),
-        STAT(load_replays_sfc_corrupt),
-        STAT(load_replays_sfc_partial),
-        STAT(load_replays_mdt_conflict),
-        STAT(store_replays_sfc_conflict),
-        STAT(store_replays_mdt_conflict),
-        STAT(viol_true),
-        STAT(viol_anti),
-        STAT(viol_output),
-        STAT(flushes_true),
-        STAT(flushes_anti),
-        STAT(flushes_output),
-        STAT(spurious_violations),
-        STAT(sfc_forwards),
-        STAT(lsq_forwards),
-        STAT(head_bypasses),
-        STAT(cam_entries_examined),
-        STAT(lsq_searches),
-        STAT(mdt_accesses),
-        STAT(sfc_accesses),
-        STAT(checker_enabled),
-        STAT(checker_clean),
-        STAT(check_retirements),
-        STAT(check_failures),
-        STAT(check_store_commit_failures),
-        STAT(faults_sfc_mask),
-        STAT(faults_sfc_data),
-        STAT(faults_mdt_evict),
-        STAT(faults_fifo_payload),
+    {#name, [](const SimResult &r) { return std::uint64_t(r.name); }},
+        STAT(cycles)
+        STAT(insts)
+        SLF_SIM_COUNTERS(STAT)
+        STAT(checker_enabled)
+        STAT(checker_clean)
+        STAT(check_retirements)
+        STAT(check_failures)
+        STAT(check_store_commit_failures)
 #undef STAT
     };
     return table;

@@ -13,35 +13,9 @@ SimResult::mergeFrom(const SimResult &other)
     insts += other.insts;
     ipc = cycles ? double(insts) / double(cycles) : 0.0;
 
-    loads_retired += other.loads_retired;
-    stores_retired += other.stores_retired;
-    branches_retired += other.branches_retired;
-    mispredicts += other.mispredicts;
-    oracle_fixes += other.oracle_fixes;
-
-    replays += other.replays;
-    load_replays_sfc_corrupt += other.load_replays_sfc_corrupt;
-    load_replays_sfc_partial += other.load_replays_sfc_partial;
-    load_replays_mdt_conflict += other.load_replays_mdt_conflict;
-    store_replays_sfc_conflict += other.store_replays_sfc_conflict;
-    store_replays_mdt_conflict += other.store_replays_mdt_conflict;
-
-    viol_true += other.viol_true;
-    viol_anti += other.viol_anti;
-    viol_output += other.viol_output;
-    flushes_true += other.flushes_true;
-    flushes_anti += other.flushes_anti;
-    flushes_output += other.flushes_output;
-    spurious_violations += other.spurious_violations;
-
-    sfc_forwards += other.sfc_forwards;
-    lsq_forwards += other.lsq_forwards;
-    head_bypasses += other.head_bypasses;
-
-    cam_entries_examined += other.cam_entries_examined;
-    lsq_searches += other.lsq_searches;
-    mdt_accesses += other.mdt_accesses;
-    sfc_accesses += other.sfc_accesses;
+#define SLF_SIM_COUNTER_ADD(name) name += other.name;
+    SLF_SIM_COUNTERS(SLF_SIM_COUNTER_ADD)
+#undef SLF_SIM_COUNTER_ADD
 
     checker_enabled = checker_enabled || other.checker_enabled;
     checker_clean = checker_clean && other.checker_clean;
@@ -53,11 +27,6 @@ SimResult::mergeFrom(const SimResult &other)
             break;
         check_reports.push_back(f);
     }
-
-    faults_sfc_mask += other.faults_sfc_mask;
-    faults_sfc_data += other.faults_sfc_data;
-    faults_mdt_evict += other.faults_mdt_evict;
-    faults_fifo_payload += other.faults_fifo_payload;
 
     occ.mergeFrom(other.occ);
     cpi.mergeFrom(other.cpi);

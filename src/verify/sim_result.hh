@@ -27,6 +27,47 @@
 namespace slf
 {
 
+/**
+ * The summed result counters: one X(name) per std::uint64_t field, in
+ * result-JSON emission order. This list is the single spelling of each
+ * counter: it declares the SimResult member, folds it in mergeFrom(),
+ * journals and rehydrates it, renders it in the result JSON and names
+ * it for `;; expect` stat assertions. Adding a counter is one line
+ * here plus its harvest in the runner / MemUnit::exportStats().
+ */
+#define SLF_SIM_COUNTERS(X)                                             \
+    X(loads_retired)                                                    \
+    X(stores_retired)                                                   \
+    X(branches_retired)                                                 \
+    X(mispredicts)                                                      \
+    X(oracle_fixes)                                                     \
+    X(replays)                                                          \
+    X(load_replays_sfc_corrupt)                                         \
+    X(load_replays_sfc_partial)                                         \
+    X(load_replays_mdt_conflict)                                        \
+    X(store_replays_sfc_conflict)                                       \
+    X(store_replays_mdt_conflict)                                       \
+    X(viol_true)                                                        \
+    X(viol_anti)                                                        \
+    X(viol_output)                                                      \
+    X(flushes_true)                                                     \
+    X(flushes_anti)                                                     \
+    X(flushes_output)                                                   \
+    X(spurious_violations)                                              \
+    X(sfc_forwards)                                                     \
+    X(lsq_forwards)                                                     \
+    X(head_bypasses)                                                    \
+    /* Dynamic-power proxies. */                                        \
+    X(cam_entries_examined) /* LSQ match lines fired */                 \
+    X(lsq_searches)                                                     \
+    X(mdt_accesses)                                                     \
+    X(sfc_accesses)                                                     \
+    /* Fault-injection census (zeros when all rates are zero). */       \
+    X(faults_sfc_mask)                                                  \
+    X(faults_sfc_data)                                                  \
+    X(faults_mdt_evict)                                                 \
+    X(faults_fifo_payload)
+
 /** Flat summary of one simulation run. */
 struct SimResult
 {
@@ -37,36 +78,9 @@ struct SimResult
     std::uint64_t insts = 0;
     double ipc = 0.0;
 
-    std::uint64_t loads_retired = 0;
-    std::uint64_t stores_retired = 0;
-    std::uint64_t branches_retired = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t oracle_fixes = 0;
-
-    std::uint64_t replays = 0;
-    std::uint64_t load_replays_sfc_corrupt = 0;
-    std::uint64_t load_replays_sfc_partial = 0;
-    std::uint64_t load_replays_mdt_conflict = 0;
-    std::uint64_t store_replays_sfc_conflict = 0;
-    std::uint64_t store_replays_mdt_conflict = 0;
-
-    std::uint64_t viol_true = 0;
-    std::uint64_t viol_anti = 0;
-    std::uint64_t viol_output = 0;
-    std::uint64_t flushes_true = 0;
-    std::uint64_t flushes_anti = 0;
-    std::uint64_t flushes_output = 0;
-    std::uint64_t spurious_violations = 0;
-
-    std::uint64_t sfc_forwards = 0;
-    std::uint64_t lsq_forwards = 0;
-    std::uint64_t head_bypasses = 0;
-
-    /** Dynamic-power proxies. */
-    std::uint64_t cam_entries_examined = 0;  ///< LSQ match lines fired
-    std::uint64_t lsq_searches = 0;
-    std::uint64_t mdt_accesses = 0;
-    std::uint64_t sfc_accesses = 0;
+#define SLF_SIM_COUNTER_MEMBER(name) std::uint64_t name = 0;
+    SLF_SIM_COUNTERS(SLF_SIM_COUNTER_MEMBER)
+#undef SLF_SIM_COUNTER_MEMBER
 
     /** Golden-model checker summary (zeros when validate=false). */
     bool checker_enabled = false;
@@ -76,12 +90,6 @@ struct SimResult
     std::uint64_t check_store_commit_failures = 0;
     /** Structured divergence reports (capped; counters are not). */
     std::vector<CheckFailure> check_reports;
-
-    /** Fault-injection census (zeros when all rates are zero). */
-    std::uint64_t faults_sfc_mask = 0;
-    std::uint64_t faults_sfc_data = 0;
-    std::uint64_t faults_mdt_evict = 0;
-    std::uint64_t faults_fifo_payload = 0;
 
     /** Per-cycle occupancy distributions (disabled and empty unless the
      *  run sampled them; merges as a no-op then). */

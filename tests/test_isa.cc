@@ -2,9 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "isa/inst.hh"
 
 using namespace slf;
+
+namespace
+{
+
+/** Parameter-name generator for the semantics tables: upper-case
+ *  mnemonic plus the case index ("ADD_0", "BEQ_0"), so test names do
+ *  not depend on how gtest would print the struct (its default dumps
+ *  raw bytes, padding included). */
+struct CaseName
+{
+    template <class Case>
+    std::string
+    operator()(const ::testing::TestParamInfo<Case> &info) const
+    {
+        std::string name = opName(info.param.op);
+        for (char &ch : name)
+            ch = char(std::toupper(static_cast<unsigned char>(ch)));
+        return name + "_" + std::to_string(info.index);
+    }
+};
+
+} // namespace
 
 TEST(IsaClassify, LoadsAndStores)
 {
@@ -75,6 +101,15 @@ struct AluCase
     std::uint64_t expect;
 };
 
+/** Field-wise, so `--gtest_list_tests` and ctest names never show the
+ *  struct's padding bytes. */
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << opName(c.op) << "(" << c.a << ", " << c.b << ", " << c.imm
+        << ") = " << c.expect;
+}
+
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {};
 
@@ -112,7 +147,8 @@ INSTANTIATE_TEST_SUITE_P(
         AluCase{Op::FADD, 4, 5, 0, 9},
         AluCase{Op::FMUL, 4, 5, 0, 21},
         AluCase{Op::FDIV, 42, 6, 0, 7},
-        AluCase{Op::FDIV, 42, 0, 0, ~0ull}));        // div-by-zero defined
+        AluCase{Op::FDIV, 42, 0, 0, ~0ull}),         // div-by-zero defined
+    CaseName());
 
 struct BranchCase
 {
@@ -120,6 +156,13 @@ struct BranchCase
     std::uint64_t a, b;
     bool taken;
 };
+
+void
+PrintTo(const BranchCase &c, std::ostream *os)
+{
+    *os << opName(c.op) << "(" << c.a << ", " << c.b << ") = "
+        << (c.taken ? "taken" : "not taken");
+}
 
 class BranchSemantics : public ::testing::TestWithParam<BranchCase>
 {};
@@ -140,7 +183,8 @@ INSTANTIATE_TEST_SUITE_P(
         BranchCase{Op::BGE, 0, ~0ull, true},
         BranchCase{Op::BGE, ~0ull, 0, false},
         BranchCase{Op::BGE, 3, 3, true},
-        BranchCase{Op::JMP, 0, 0, true}));
+        BranchCase{Op::JMP, 0, 0, true}),
+    CaseName());
 
 TEST(Disassemble, RepresentativeForms)
 {

@@ -26,42 +26,14 @@ namespace
 std::vector<std::uint64_t>
 counters(const SimResult &r)
 {
-    return {
-        r.cycles,
-        r.insts,
-        r.loads_retired,
-        r.stores_retired,
-        r.branches_retired,
-        r.mispredicts,
-        r.oracle_fixes,
-        r.replays,
-        r.load_replays_sfc_corrupt,
-        r.load_replays_sfc_partial,
-        r.load_replays_mdt_conflict,
-        r.store_replays_sfc_conflict,
-        r.store_replays_mdt_conflict,
-        r.viol_true,
-        r.viol_anti,
-        r.viol_output,
-        r.flushes_true,
-        r.flushes_anti,
-        r.flushes_output,
-        r.spurious_violations,
-        r.sfc_forwards,
-        r.lsq_forwards,
-        r.head_bypasses,
-        r.cam_entries_examined,
-        r.lsq_searches,
-        r.mdt_accesses,
-        r.sfc_accesses,
-        r.check_retirements,
-        r.check_failures,
-        r.check_store_commit_failures,
-        r.faults_sfc_mask,
-        r.faults_sfc_data,
-        r.faults_mdt_evict,
-        r.faults_fifo_payload,
-    };
+    std::vector<std::uint64_t> out{r.cycles, r.insts};
+#define SLF_FLATTEN(name) out.push_back(r.name);
+    SLF_SIM_COUNTERS(SLF_FLATTEN)
+#undef SLF_FLATTEN
+    out.push_back(r.check_retirements);
+    out.push_back(r.check_failures);
+    out.push_back(r.check_store_commit_failures);
+    return out;
 }
 
 /** A SimResult with every counter field drawn from @p rng. */
@@ -72,40 +44,14 @@ randomResult(Rng &rng)
     r.cycles = rng.below(10000) + 1;
     r.insts = rng.below(10000) + 1;
     r.ipc = double(r.insts) / double(r.cycles);
-    r.loads_retired = rng.below(5000);
-    r.stores_retired = rng.below(5000);
-    r.branches_retired = rng.below(2000);
-    r.mispredicts = rng.below(500);
-    r.oracle_fixes = rng.below(100);
-    r.replays = rng.below(300);
-    r.load_replays_sfc_corrupt = rng.below(50);
-    r.load_replays_sfc_partial = rng.below(50);
-    r.load_replays_mdt_conflict = rng.below(50);
-    r.store_replays_sfc_conflict = rng.below(50);
-    r.store_replays_mdt_conflict = rng.below(50);
-    r.viol_true = rng.below(40);
-    r.viol_anti = rng.below(40);
-    r.viol_output = rng.below(40);
-    r.flushes_true = rng.below(40);
-    r.flushes_anti = rng.below(40);
-    r.flushes_output = rng.below(40);
-    r.spurious_violations = rng.below(20);
-    r.sfc_forwards = rng.below(1000);
-    r.lsq_forwards = rng.below(1000);
-    r.head_bypasses = rng.below(200);
-    r.cam_entries_examined = rng.below(100000);
-    r.lsq_searches = rng.below(10000);
-    r.mdt_accesses = rng.below(10000);
-    r.sfc_accesses = rng.below(10000);
+#define SLF_RANDOM_FILL(name) r.name = rng.below(10000);
+    SLF_SIM_COUNTERS(SLF_RANDOM_FILL)
+#undef SLF_RANDOM_FILL
     r.checker_enabled = true;
     r.check_retirements = r.insts;
     r.check_failures = rng.below(4);
     r.checker_clean = r.check_failures == 0;
     r.check_store_commit_failures = rng.below(r.check_failures + 1);
-    r.faults_sfc_mask = rng.below(30);
-    r.faults_sfc_data = rng.below(30);
-    r.faults_mdt_evict = rng.below(30);
-    r.faults_fifo_payload = rng.below(30);
     return r;
 }
 
