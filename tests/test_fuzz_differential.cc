@@ -21,12 +21,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cpu/config_preset.hh"
+#include "cpu/ooo_core.hh"
 #include "driver/runner.hh"
 #include "prog/builder.hh"
 #include "sim/rng.hh"
+#include "workloads/micro_corpus.hh"
 #include "workloads/workloads.hh"
 
 using namespace slf;
@@ -344,6 +348,35 @@ runChecked(MemSubsystem subsys, const Program &prog,
     return r;
 }
 
+/** Corpus entry @p i through the generator the tests below use for it:
+ *  0..11 plain, 12..15 squash-biased, 16..19 fence/sync + overlap. */
+Program
+corpusProgram(std::size_t i, std::uint64_t iterations)
+{
+    const std::uint64_t seed = kSeedCorpus[i];
+    if (i < 12)
+        return randomProgram(seed, iterations);
+    if (i < 16)
+        return squashBiasedProgram(seed, iterations);
+    return syncOverlapProgram(seed, iterations);
+}
+
+/** Tick @p prog to completion on @p cfg, asserting the core's window
+ *  and scheduler invariants after every single cycle. */
+void
+tickWithInvariants(const CoreConfig &cfg, const Program &prog,
+                   const std::string &what)
+{
+    OooCore core(cfg, prog);
+    std::string why;
+    while (core.tick()) {
+        ASSERT_TRUE(core.checkInvariants(&why))
+            << what << ": " << why << " at cycle " << core.cycles();
+    }
+    ASSERT_TRUE(core.checkInvariants(&why)) << what << ": " << why;
+    EXPECT_TRUE(core.finished()) << what;
+}
+
 } // namespace
 
 TEST(FuzzDifferential, MdtSfcAndLsqMatchFunctionalSim)
@@ -458,5 +491,28 @@ TEST(FuzzDifferential, GeneratorIsDeterministic)
             runChecked(MemSubsystem::MdtSfc, b, seed);
         EXPECT_EQ(ra.cycles, rb.cycles);
         EXPECT_EQ(ra.insts, rb.insts);
+    }
+}
+
+TEST(FuzzDifferential, SchedulerInvariantsHoldEveryCycle)
+{
+    // The whole fuzz corpus and every directed `.s` test, on the
+    // baseline and both aggressive cores, with checkInvariants() after
+    // every tick. The oracle is off (as in the micro sweep) so wrong
+    // paths really execute and squash scheduler residents.
+    const std::vector<MicroTest> micro = loadMicroCorpus(SLF_TEST_MICRO_DIR);
+    ASSERT_FALSE(micro.empty());
+    for (const char *preset : {"enf", "agg_enf", "agg_lsq120x80"}) {
+        CoreConfig cfg = presetByName(preset);
+        cfg.oracle_fix_prob = 0.0;
+        for (std::size_t i = 0; i < kSeedCorpus.size(); ++i) {
+            std::ostringstream what;
+            what << preset << " seed 0x" << std::hex << kSeedCorpus[i];
+            tickWithInvariants(cfg, corpusProgram(i, fuzzIterations()),
+                               what.str());
+        }
+        for (const MicroTest &t : micro)
+            tickWithInvariants(cfg, t.unit.prog,
+                               std::string(preset) + " " + t.name);
     }
 }

@@ -3,8 +3,9 @@
  * Tests for the observability layer: typed stat tables, the trace-event
  * ring buffer, Chrome-trace export (pinned against a golden file),
  * per-cycle occupancy sampling with order-independent shard merging,
- * the schema-v1 byte-identity guarantee of the campaign JSON, and the
- * host-time profiler.
+ * the schema-v1 byte-identity guarantee of the campaign JSON, a
+ * byte-exact result table of the aggressive core, and the host-time
+ * profiler.
  *
  * Golden files live in tests/golden/ and regenerate with
  *   SLFWD_REGEN_GOLDEN=1 ./test_obs
@@ -19,7 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hh"
 #include "campaign/result_sink.hh"
+#include "cpu/config_preset.hh"
 #include "driver/runner.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/occupancy.hh"
@@ -514,6 +517,38 @@ TEST(ResultSinkObs, EndToEndOccupancyReachesCampaignJson)
     EXPECT_NE(json.find("\"issued_per_cycle\""), std::string::npos);
     EXPECT_NE(json.find("\"cpi_stack\": {\"total\": "), std::string::npos);
     EXPECT_NE(json.find("\"blame\": {"), std::string::npos);
+}
+
+TEST(ResultSinkObs, AggressiveCoreAnalogTableMatchesGolden)
+{
+    // Byte-exact pin of the 8-wide, 1024-entry core: every analog under
+    // the aggressive MDT/SFC and 120x80-LSQ presets, 20k retired
+    // instructions each. A change to issue order, timing or any stat on
+    // the big window shows up as a diff here.
+    Campaign c("agg_20k");
+    for (const WorkloadInfo &info : spec2000Analogs()) {
+        for (const char *preset : {"agg_enf", "agg_lsq120x80"}) {
+            JobSpec spec;
+            spec.config_name = preset;
+            spec.workload = info.name;
+            spec.cfg = presetByName(preset);
+            spec.cfg.max_insts = 20000;
+            const WorkloadFactory make = info.make;
+            spec.make_prog = [make] { return make(WorkloadParams{}); };
+            c.addJob(std::move(spec));
+        }
+    }
+
+    CampaignOptions opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    const std::vector<JobResult> results = c.run(opts);
+    ASSERT_EQ(results.size(), 2 * spec2000Analogs().size());
+    for (const JobResult &r : results)
+        ASSERT_TRUE(r.ok()) << r.config_name << "/" << r.workload << ": "
+                            << r.error;
+    checkGolden("agg_20k.json",
+                ResultSink::toJson(c.name(), opts.root_seed, results));
 }
 
 // ---------------------------------------------------------------------
