@@ -40,7 +40,8 @@ main(int argc, char **argv)
     printHeader("Figure 5: baseline 4-wide core (normalized to 48x32 LSQ)",
                 {"lsq48x32", "ENF", "NOT-ENF"});
 
-    std::vector<double> enf_int, enf_fp, notenf_int, notenf_fp;
+    // Every column's per-class samples: [0] int, [1] fp.
+    std::vector<double> cols[2][3];
 
     for (const auto &info : selectedWorkloads(opts)) {
         const SimResult &lsq =
@@ -51,17 +52,18 @@ main(int argc, char **argv)
 
         const double enf_rel = lsq.ipc > 0 ? enf.ipc / lsq.ipc : 0;
         const double notenf_rel = lsq.ipc > 0 ? notenf.ipc / lsq.ipc : 0;
-        printRow(info.name, {lsq.ipc, enf_rel, notenf_rel});
+        const std::vector<double> row = {lsq.ipc, enf_rel, notenf_rel};
+        printRow(info.name, row);
 
-        auto &ev = info.cls == WorkloadClass::Int ? enf_int : enf_fp;
-        auto &nv = info.cls == WorkloadClass::Int ? notenf_int : notenf_fp;
-        ev.push_back(enf_rel);
-        nv.push_back(notenf_rel);
+        auto &c = cols[info.cls == WorkloadClass::Int ? 0 : 1];
+        for (std::size_t i = 0; i < row.size(); ++i)
+            c[i].push_back(row[i]);
     }
 
     std::printf("\n");
-    printRow("int avg", {0.0, mean(enf_int), mean(notenf_int)});
-    printRow("fp avg", {0.0, mean(enf_fp), mean(notenf_fp)});
+    for (int k = 0; k < 2; ++k)
+        printRow(k ? "fp avg" : "int avg",
+                 {mean(cols[k][0]), mean(cols[k][1]), mean(cols[k][2])});
     std::printf("\npaper: ENF int/fp averages ~0.99-1.00; NOT-ENF ~0.97\n");
     return 0;
 }

@@ -74,6 +74,15 @@ class InstRing
         return slots_[(head_ + i) & mask_];
     }
 
+    /** Backing-array slot of the resident at position @p i. A slot
+     *  index stays fixed for an instruction's whole residency, so it
+     *  can key per-instruction side tables. */
+    std::size_t slotIndex(std::size_t i) const { return (head_ + i) & mask_; }
+    /** The instruction in backing-array slot @p s (any slot, resident
+     *  or not; 0 <= s < capacity()). */
+    DynInst &atSlot(std::size_t s) { return slots_[s]; }
+    const DynInst &atSlot(std::size_t s) const { return slots_[s]; }
+
     /** Append the youngest instruction. @pre size() < capacity(). */
     DynInst &
     push_back(const DynInst &d)

@@ -323,8 +323,6 @@ TEST(LsqUnitTest, CapacityChecksMatchQueueSizes)
     a.si.op = Op::LD8;
     DynInst b = a;
     b.seq = 2;
-    DynInst c = a;
-    c.seq = 3;
     EXPECT_TRUE(unit.canDispatchLoad());
     unit.dispatchLoad(a);
     unit.dispatchLoad(b);

@@ -27,9 +27,10 @@ runWithInvariantChecks(OooCore &core, unsigned check_every = 16)
     std::string why;
     std::uint64_t ticks = 0;
     while (core.tick()) {
-        if (++ticks % check_every == 0)
+        if (++ticks % check_every == 0) {
             ASSERT_TRUE(core.checkInvariants(&why)) << why << " at cycle "
                                                     << core.cycles();
+        }
     }
     ASSERT_TRUE(core.checkInvariants(&why)) << why;
 }

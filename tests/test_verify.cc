@@ -115,8 +115,9 @@ TEST(FaultInjectorTest, StoreRetireMaskAlwaysChangesTheValue)
     for (unsigned size = 1; size <= 8; ++size) {
         const std::uint64_t mask = fi.onStoreRetire(size);
         EXPECT_EQ(mask & 1, 1u) << "bit 0 must be set (size " << size << ")";
-        if (size < 8)
+        if (size < 8) {
             EXPECT_EQ(mask >> (8 * size), 0u) << "mask exceeds store width";
+        }
     }
     EXPECT_EQ(fi.fifoPayloadFaults(), 8u);
 
