@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string>
 
@@ -233,4 +235,139 @@ TEST(Disassemble, EveryOpcodeHasAName)
         const char *name = opName(static_cast<Op>(o));
         EXPECT_STRNE(name, "???") << "opcode " << o;
     }
+}
+
+// ---------------------------------------------------------------------
+// Exhaustive classification table: every opcode against every helper,
+// checked against one explicit expected row per opcode.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** ALU/branch operands for the table's semantics columns: a = -10,
+ *  b = 3, imm = -3. */
+constexpr std::uint64_t kA = ~std::uint64_t{9};
+constexpr std::uint64_t kB = 3;
+constexpr std::int64_t kImm = -3;
+
+/** Whether a control op is taken at (kA, kB) and at (kB, kB). */
+enum class Br
+{
+    None,      ///< not a control op: branchTaken panics
+    OnLess,    ///< taken at (kA, kB), not at (kB, kB)
+    OnEqual,   ///< taken at (kB, kB), not at (kA, kB)
+    Always,
+};
+
+/** One expected row. `alu` says whether executeAlu is defined for the
+ *  opcode (it panics otherwise); `result` is then its value at
+ *  (kA, kB, kImm). */
+struct OpRow
+{
+    Op op;
+    bool load, store, branch, control, fp, mul;
+    unsigned size;
+    bool writes, src1, src2;
+    bool alu;
+    std::uint64_t result;
+    Br br;
+};
+
+constexpr std::uint64_t
+u(std::int64_t v)
+{
+    return static_cast<std::uint64_t>(v);
+}
+
+constexpr bool T = true, F = false;
+
+constexpr OpRow kOpTable[] = {
+    //  op      ld st br ct fp mu sz wr s1 s2 alu result, taken
+    {Op::NOP,  F, F, F, F, F, F, 0, F, F, F, F, 0u, Br::None},
+    {Op::ADD,  F, F, F, F, F, F, 0, T, T, T, T, u(-7), Br::None},
+    {Op::SUB,  F, F, F, F, F, F, 0, T, T, T, T, u(-13), Br::None},
+    {Op::AND,  F, F, F, F, F, F, 0, T, T, T, T, 2u, Br::None},
+    {Op::OR,   F, F, F, F, F, F, 0, T, T, T, T, u(-9), Br::None},
+    {Op::XOR,  F, F, F, F, F, F, 0, T, T, T, T, u(-11), Br::None},
+    {Op::SLT,  F, F, F, F, F, F, 0, T, T, T, T, 1u, Br::None},
+    {Op::MUL,  F, F, F, F, F, T, 0, T, T, T, T, u(-30), Br::None},
+    {Op::SHL,  F, F, F, F, F, F, 0, T, T, T, T, u(-80), Br::None},
+    {Op::SHR,  F, F, F, F, F, F, 0, T, T, T, T, 0x1ffffffffffffffeull, Br::None},
+    {Op::ADDI, F, F, F, F, F, F, 0, T, T, F, T, u(-13), Br::None},
+    {Op::ANDI, F, F, F, F, F, F, 0, T, T, F, T, u(-12), Br::None},
+    {Op::ORI,  F, F, F, F, F, F, 0, T, T, F, T, u(-1), Br::None},
+    {Op::XORI, F, F, F, F, F, F, 0, T, T, F, T, 11u, Br::None},
+    {Op::SLTI, F, F, F, F, F, F, 0, T, T, F, T, 1u, Br::None},
+    {Op::SHLI, F, F, F, F, F, F, 0, T, T, F, T, 0xc000000000000000ull, Br::None},
+    {Op::SHRI, F, F, F, F, F, F, 0, T, T, F, T, 7u, Br::None},
+    {Op::MOVI, F, F, F, F, F, F, 0, T, F, F, T, u(-3), Br::None},
+    {Op::FADD, F, F, F, F, T, F, 0, T, T, T, T, u(-7), Br::None},
+    {Op::FMUL, F, F, F, F, T, F, 0, T, T, T, T, u(-29), Br::None},
+    {Op::FDIV, F, F, F, F, T, F, 0, T, T, T, T, 0x5555555555555552ull, Br::None},
+    {Op::LD1,  T, F, F, F, F, F, 1, T, T, F, F, 0u, Br::None},
+    {Op::LD2,  T, F, F, F, F, F, 2, T, T, F, F, 0u, Br::None},
+    {Op::LD4,  T, F, F, F, F, F, 4, T, T, F, F, 0u, Br::None},
+    {Op::LD8,  T, F, F, F, F, F, 8, T, T, F, F, 0u, Br::None},
+    {Op::ST1,  F, T, F, F, F, F, 1, F, T, T, F, 0u, Br::None},
+    {Op::ST2,  F, T, F, F, F, F, 2, F, T, T, F, 0u, Br::None},
+    {Op::ST4,  F, T, F, F, F, F, 4, F, T, T, F, 0u, Br::None},
+    {Op::ST8,  F, T, F, F, F, F, 8, F, T, T, F, 0u, Br::None},
+    {Op::BEQ,  F, F, T, T, F, F, 0, F, T, T, F, 0u, Br::OnEqual},
+    {Op::BNE,  F, F, T, T, F, F, 0, F, T, T, F, 0u, Br::OnLess},
+    {Op::BLT,  F, F, T, T, F, F, 0, F, T, T, F, 0u, Br::OnLess},
+    {Op::BGE,  F, F, T, T, F, F, 0, F, T, T, F, 0u, Br::OnEqual},
+    {Op::JMP,  F, F, F, T, F, F, 0, F, F, F, F, 0u, Br::Always},
+    {Op::HALT, F, F, F, F, F, F, 0, F, F, F, F, 0u, Br::None},
+};
+
+static_assert(std::size(kOpTable) == static_cast<std::size_t>(Op::kNumOps),
+              "one expected row per opcode");
+
+} // namespace
+
+TEST(IsaTable, EveryOpcodeMatchesItsExpectedRow)
+{
+    for (unsigned o = 0; o < static_cast<unsigned>(Op::kNumOps); ++o) {
+        const OpRow &row = kOpTable[o];
+        const Op op = static_cast<Op>(o);
+        ASSERT_EQ(row.op, op) << "table row " << o << " out of order";
+        SCOPED_TRACE(opName(op));
+        EXPECT_EQ(isLoad(op), row.load);
+        EXPECT_EQ(isStore(op), row.store);
+        EXPECT_EQ(isMem(op), row.load || row.store);
+        EXPECT_EQ(isBranch(op), row.branch);
+        EXPECT_EQ(isControl(op), row.control);
+        EXPECT_EQ(isFpClass(op), row.fp);
+        EXPECT_EQ(isMul(op), row.mul);
+        EXPECT_EQ(memAccessSize(op), row.size);
+        EXPECT_EQ(writesDst(op), row.writes);
+        EXPECT_EQ(readsSrc1(op), row.src1);
+        EXPECT_EQ(readsSrc2(op), row.src2);
+        if (row.alu) {
+            EXPECT_EQ(executeAlu(op, kA, kB, kImm), row.result);
+        }
+        if (row.br != Br::None) {
+            EXPECT_EQ(branchTaken(op, kA, kB),
+                      row.br == Br::OnLess || row.br == Br::Always);
+            EXPECT_EQ(branchTaken(op, kB, kB),
+                      row.br == Br::OnEqual || row.br == Br::Always);
+        }
+    }
+}
+
+TEST(IsaTableDeathTest, NonAluOpcodePanicsWithItsMnemonic)
+{
+    EXPECT_DEATH(executeAlu(Op::LD8, 1, 2, 3),
+                 "panic: executeAlu: non-ALU opcode ld8");
+    EXPECT_DEATH(executeAlu(Op::BEQ, 1, 2, 3),
+                 "panic: executeAlu: non-ALU opcode beq");
+}
+
+TEST(IsaTableDeathTest, NonControlOpcodePanicsWithItsMnemonic)
+{
+    EXPECT_DEATH(branchTaken(Op::ADD, 1, 2),
+                 "panic: branchTaken: non-branch opcode add");
+    EXPECT_DEATH(branchTaken(Op::HALT, 1, 2),
+                 "panic: branchTaken: non-branch opcode halt");
 }
