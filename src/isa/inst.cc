@@ -50,148 +50,16 @@ opName(Op op)
     }
 }
 
-bool
-isLoad(Op op)
+void
+panicNonAluOp(Op op)
 {
-    return op == Op::LD1 || op == Op::LD2 || op == Op::LD4 || op == Op::LD8;
+    panic(std::string("executeAlu: non-ALU opcode ") + opName(op));
 }
 
-bool
-isStore(Op op)
+void
+panicNonBranchOp(Op op)
 {
-    return op == Op::ST1 || op == Op::ST2 || op == Op::ST4 || op == Op::ST8;
-}
-
-bool
-isBranch(Op op)
-{
-    return op == Op::BEQ || op == Op::BNE || op == Op::BLT || op == Op::BGE;
-}
-
-bool
-isControl(Op op)
-{
-    return isBranch(op) || op == Op::JMP;
-}
-
-bool
-isFpClass(Op op)
-{
-    return op == Op::FADD || op == Op::FMUL || op == Op::FDIV;
-}
-
-bool
-isMul(Op op)
-{
-    return op == Op::MUL;
-}
-
-unsigned
-memAccessSize(Op op)
-{
-    switch (op) {
-      case Op::LD1: case Op::ST1: return 1;
-      case Op::LD2: case Op::ST2: return 2;
-      case Op::LD4: case Op::ST4: return 4;
-      case Op::LD8: case Op::ST8: return 8;
-      default: return 0;
-    }
-}
-
-bool
-writesDst(Op op)
-{
-    switch (op) {
-      case Op::NOP:
-      case Op::ST1: case Op::ST2: case Op::ST4: case Op::ST8:
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-      case Op::JMP:
-      case Op::HALT:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-readsSrc1(Op op)
-{
-    switch (op) {
-      case Op::NOP:
-      case Op::MOVI:
-      case Op::JMP:
-      case Op::HALT:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-readsSrc2(Op op)
-{
-    switch (op) {
-      case Op::ADD: case Op::SUB: case Op::AND: case Op::OR:
-      case Op::XOR: case Op::SLT: case Op::MUL: case Op::SHL:
-      case Op::SHR:
-      case Op::FADD: case Op::FMUL: case Op::FDIV:
-      case Op::ST1: case Op::ST2: case Op::ST4: case Op::ST8:
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-        return true;
-      default:
-        return false;
-    }
-}
-
-std::uint64_t
-executeAlu(Op op, std::uint64_t a, std::uint64_t b, std::int64_t imm)
-{
-    const std::uint64_t uimm = static_cast<std::uint64_t>(imm);
-    switch (op) {
-      case Op::ADD: return a + b;
-      case Op::SUB: return a - b;
-      case Op::AND: return a & b;
-      case Op::OR: return a | b;
-      case Op::XOR: return a ^ b;
-      case Op::SLT:
-        return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b)
-            ? 1 : 0;
-      case Op::MUL: return a * b;
-      case Op::SHL: return a << (b & 63);
-      case Op::SHR: return a >> (b & 63);
-      case Op::ADDI: return a + uimm;
-      case Op::ANDI: return a & uimm;
-      case Op::ORI: return a | uimm;
-      case Op::XORI: return a ^ uimm;
-      case Op::SLTI:
-        return static_cast<std::int64_t>(a) < imm ? 1 : 0;
-      case Op::SHLI: return a << (uimm & 63);
-      case Op::SHRI: return a >> (uimm & 63);
-      case Op::MOVI: return uimm;
-      // FP-class ops use fixed-point semantics so the golden model and the
-      // timing model agree exactly; only their latency class differs.
-      case Op::FADD: return a + b;
-      case Op::FMUL: return a * b + 1;
-      case Op::FDIV: return b ? a / b : ~std::uint64_t{0};
-      default:
-        panic(std::string("executeAlu: non-ALU opcode ") + opName(op));
-    }
-}
-
-bool
-branchTaken(Op op, std::uint64_t a, std::uint64_t b)
-{
-    switch (op) {
-      case Op::BEQ: return a == b;
-      case Op::BNE: return a != b;
-      case Op::BLT:
-        return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
-      case Op::BGE:
-        return static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b);
-      case Op::JMP: return true;
-      default:
-        panic(std::string("branchTaken: non-branch opcode ") + opName(op));
-    }
+    panic(std::string("branchTaken: non-branch opcode ") + opName(op));
 }
 
 std::string

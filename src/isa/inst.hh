@@ -89,24 +89,80 @@ struct StaticInst
     }
 };
 
-/** Classification helpers. */
-bool isLoad(Op op);
-bool isStore(Op op);
-inline bool isMem(Op op) { return isLoad(op) || isStore(op); }
-bool isBranch(Op op);       ///< conditional branches only
-bool isControl(Op op);      ///< branches + JMP (not HALT)
-bool isFpClass(Op op);
-bool isMul(Op op);
+/*
+ * The helpers below run several times per simulated instruction in
+ * every pipeline stage, so they live here, inline, rather than behind
+ * a call into inst.cc. The classifiers are range compares over the
+ * opcode order; the static_asserts pin every range they rely on.
+ */
+
+constexpr bool
+opIn(Op op, Op first, Op last)
+{
+    return op >= first && op <= last;
+}
+
+static_assert(Op(unsigned(Op::LD1) + 3) == Op::LD8 &&
+              Op(unsigned(Op::LD8) + 1) == Op::ST1 &&
+              Op(unsigned(Op::ST1) + 3) == Op::ST8,
+              "loads then stores, each in size order 1/2/4/8");
+static_assert(Op(unsigned(Op::ST8) + 1) == Op::BEQ &&
+              Op(unsigned(Op::BEQ) + 3) == Op::BGE &&
+              Op(unsigned(Op::BGE) + 1) == Op::JMP &&
+              Op(unsigned(Op::JMP) + 1) == Op::HALT &&
+              Op(unsigned(Op::HALT) + 1) == Op::kNumOps,
+              "stores, branches, JMP and HALT close the opcode space");
+static_assert(unsigned(Op::ADD) == 1 &&
+              Op(unsigned(Op::ADD) + 8) == Op::SHR &&
+              Op(unsigned(Op::SHR) + 1) == Op::ADDI &&
+              Op(unsigned(Op::ADDI) + 7) == Op::MOVI &&
+              Op(unsigned(Op::MOVI) + 1) == Op::FADD &&
+              Op(unsigned(Op::FADD) + 2) == Op::FDIV &&
+              Op(unsigned(Op::FDIV) + 1) == Op::LD1,
+              "register-register ALU, immediate ALU, FP class, loads");
+
+constexpr bool isLoad(Op op) { return opIn(op, Op::LD1, Op::LD8); }
+constexpr bool isStore(Op op) { return opIn(op, Op::ST1, Op::ST8); }
+constexpr bool isMem(Op op) { return opIn(op, Op::LD1, Op::ST8); }
+/** Conditional branches only. */
+constexpr bool isBranch(Op op) { return opIn(op, Op::BEQ, Op::BGE); }
+/** Branches + JMP (not HALT). */
+constexpr bool isControl(Op op) { return opIn(op, Op::BEQ, Op::JMP); }
+constexpr bool isFpClass(Op op) { return opIn(op, Op::FADD, Op::FDIV); }
+constexpr bool isMul(Op op) { return op == Op::MUL; }
 
 /** @return access size in bytes for a load/store opcode; 0 otherwise. */
-unsigned memAccessSize(Op op);
+constexpr unsigned
+memAccessSize(Op op)
+{
+    return isMem(op) ? 1u << ((unsigned(op) - unsigned(Op::LD1)) & 3) : 0;
+}
 
 /** @return true if the opcode writes its dst register. */
-bool writesDst(Op op);
+constexpr bool
+writesDst(Op op)
+{
+    // Everything from ST1 on (stores, control, HALT) writes nothing.
+    return op != Op::NOP && op < Op::ST1;
+}
 
 /** @return true if the opcode reads src1 / src2. */
-bool readsSrc1(Op op);
-bool readsSrc2(Op op);
+constexpr bool
+readsSrc1(Op op)
+{
+    return op != Op::NOP && op != Op::MOVI && op < Op::JMP;
+}
+
+constexpr bool
+readsSrc2(Op op)
+{
+    return opIn(op, Op::ADD, Op::SHR) || isFpClass(op) ||
+           opIn(op, Op::ST1, Op::BGE);
+}
+
+/** Out-of-line panics for executeAlu/branchTaken on a wrong opcode. */
+[[noreturn]] void panicNonAluOp(Op op);
+[[noreturn]] void panicNonBranchOp(Op op);
 
 /**
  * Pure ALU semantics shared by the functional simulator and the
@@ -118,15 +174,61 @@ bool readsSrc2(Op op);
  * @param imm  immediate (register-immediate forms).
  * @return the 64-bit result.
  */
-std::uint64_t executeAlu(Op op, std::uint64_t a, std::uint64_t b,
-                         std::int64_t imm);
+constexpr std::uint64_t
+executeAlu(Op op, std::uint64_t a, std::uint64_t b, std::int64_t imm)
+{
+    const std::uint64_t uimm = static_cast<std::uint64_t>(imm);
+    switch (op) {
+      case Op::ADD: return a + b;
+      case Op::SUB: return a - b;
+      case Op::AND: return a & b;
+      case Op::OR: return a | b;
+      case Op::XOR: return a ^ b;
+      case Op::SLT:
+        return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b)
+            ? 1 : 0;
+      case Op::MUL: return a * b;
+      case Op::SHL: return a << (b & 63);
+      case Op::SHR: return a >> (b & 63);
+      case Op::ADDI: return a + uimm;
+      case Op::ANDI: return a & uimm;
+      case Op::ORI: return a | uimm;
+      case Op::XORI: return a ^ uimm;
+      case Op::SLTI:
+        return static_cast<std::int64_t>(a) < imm ? 1 : 0;
+      case Op::SHLI: return a << (uimm & 63);
+      case Op::SHRI: return a >> (uimm & 63);
+      case Op::MOVI: return uimm;
+      // FP-class ops use fixed-point semantics so the golden model and the
+      // timing model agree exactly; only their latency class differs.
+      case Op::FADD: return a + b;
+      case Op::FMUL: return a * b + 1;
+      case Op::FDIV: return b ? a / b : ~std::uint64_t{0};
+      default:
+        panicNonAluOp(op);
+    }
+}
 
 /**
  * Branch condition evaluation (signed comparisons for BLT/BGE).
  *
  * @return true if the branch is taken.
  */
-bool branchTaken(Op op, std::uint64_t a, std::uint64_t b);
+constexpr bool
+branchTaken(Op op, std::uint64_t a, std::uint64_t b)
+{
+    switch (op) {
+      case Op::BEQ: return a == b;
+      case Op::BNE: return a != b;
+      case Op::BLT:
+        return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
+      case Op::BGE:
+        return static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b);
+      case Op::JMP: return true;
+      default:
+        panicNonBranchOp(op);
+    }
+}
 
 /** Render one instruction as text, e.g. "add r3, r1, r2". */
 std::string disassemble(const StaticInst &inst);
