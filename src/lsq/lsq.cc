@@ -1,13 +1,12 @@
 #include "lsq.hh"
 
-#include "sim/logging.hh"
-
 namespace slf
 {
 
 Lsq::Lsq(const LsqParams &params, MemReader read_committed)
     : params_(params),
-      read_committed_(std::move(read_committed)),
+      index_(params.lq_entries, params.sq_entries,
+             std::move(read_committed)),
       stats_("lsq"),
       table_(stats_),
       lq_searches_(table_[obs::LsqStat::LqSearches]),
@@ -16,211 +15,26 @@ Lsq::Lsq(const LsqParams &params, MemReader read_committed)
       forwards_(table_[obs::LsqStat::Forwards]),
       violations_(table_[obs::LsqStat::ViolationsTrue]),
       silent_stores_(table_[obs::LsqStat::SilentStoreFiltered])
-{
-    if (params.lq_entries == 0 || params.sq_entries == 0)
-        fatal("Lsq: queue sizes must be nonzero");
-    if (!read_committed_)
-        fatal("Lsq: committed-memory reader required");
-}
-
-bool
-Lsq::dispatchLoad(SeqNum seq, std::uint64_t pc)
-{
-    if (lq_.size() >= params_.lq_entries)
-        return false;
-    if (!lq_.empty() && lq_.back().seq >= seq)
-        panic("Lsq::dispatchLoad: sequence numbers must increase");
-    LoadEntry e;
-    e.seq = seq;
-    e.pc = pc;
-    lq_.push_back(e);
-    return true;
-}
-
-bool
-Lsq::dispatchStore(SeqNum seq, std::uint64_t pc)
-{
-    if (sq_.size() >= params_.sq_entries)
-        return false;
-    if (!sq_.empty() && sq_.back().seq >= seq)
-        panic("Lsq::dispatchStore: sequence numbers must increase");
-    StoreEntry e;
-    e.seq = seq;
-    e.pc = pc;
-    sq_.push_back(e);
-    return true;
-}
-
-LsqLoadResult
-Lsq::executeLoad(SeqNum seq, Addr addr, unsigned size)
-{
-    // Record execution in the LQ entry.
-    LoadEntry *le = nullptr;
-    for (auto it = lq_.rbegin(); it != lq_.rend(); ++it) {
-        if (it->seq == seq) {
-            le = &*it;
-            break;
-        }
-    }
-    if (!le)
-        panic("Lsq::executeLoad: load not dispatched");
-    le->executed = true;
-    le->addr = addr;
-    le->size = size;
-
-    // Age-prioritized associative search of the store queue: for each
-    // requested byte, the youngest older executed store wins.
-    ++sq_searches_;
-    cam_entries_examined_ += sq_.size();
-
-    LsqLoadResult result;
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        const StoreEntry &se = *it;
-        if (se.seq >= seq || !se.executed)
-            continue;
-        for (unsigned i = 0; i < size; ++i) {
-            const std::uint8_t bit = static_cast<std::uint8_t>(1u << i);
-            if (result.forward_mask & bit)
-                continue;   // a younger store already supplied this byte
-            const Addr b = addr + i;
-            if (b >= se.addr && b < se.addr + se.size) {
-                const unsigned off = static_cast<unsigned>(b - se.addr);
-                result.forward_value |=
-                    std::uint64_t{static_cast<std::uint8_t>(
-                        se.value >> (8 * off))} << (8 * i);
-                result.forward_mask |= bit;
-            }
-        }
-        if (result.forward_mask ==
-            static_cast<std::uint8_t>((1u << size) - 1)) {
-            break;
-        }
-    }
-    if (result.forward_mask)
-        ++forwards_;
-    return result;
-}
-
-void
-Lsq::loadCompleted(SeqNum seq, std::uint64_t value)
-{
-    for (auto it = lq_.rbegin(); it != lq_.rend(); ++it) {
-        if (it->seq == seq) {
-            it->completed = true;
-            it->value = value;
-            return;
-        }
-    }
-    panic("Lsq::loadCompleted: load not dispatched");
-}
-
-std::uint64_t
-Lsq::composeLoadValue(SeqNum seq, Addr addr, unsigned size)
-{
-    std::uint64_t value = 0;
-    for (unsigned i = 0; i < size; ++i) {
-        const Addr b = addr + i;
-        std::uint8_t byte = read_committed_(b);
-        // Youngest older executed store wins per byte.
-        SeqNum best = kInvalidSeqNum;
-        for (const StoreEntry &se : sq_) {
-            if (se.seq >= seq || !se.executed)
-                continue;
-            if (b >= se.addr && b < se.addr + se.size &&
-                (best == kInvalidSeqNum || se.seq > best)) {
-                best = se.seq;
-                const unsigned off = static_cast<unsigned>(b - se.addr);
-                byte = static_cast<std::uint8_t>(se.value >> (8 * off));
-            }
-        }
-        value |= std::uint64_t{byte} << (8 * i);
-    }
-    return value;
-}
+{}
 
 std::optional<LsqViolation>
 Lsq::executeStore(SeqNum seq, Addr addr, unsigned size, std::uint64_t value)
 {
-    StoreEntry *se = nullptr;
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        if (it->seq == seq) {
-            se = &*it;
-            break;
-        }
-    }
-    if (!se)
-        panic("Lsq::executeStore: store not dispatched");
-    se->executed = true;
-    se->addr = addr;
-    se->size = size;
-    se->value = value;
-
-    // Search the LQ for younger completed loads that overlap and whose
-    // obtained value is now provably wrong. Value-based checking means a
-    // silent store (value already matches) never triggers a flush.
+    // The modelled search examines every occupied LQ entry.
+    // Value-based checking means a silent store (value already
+    // matches) never triggers a flush.
+    const OrderIndex::StoreCheck c =
+        index_.executeStore(seq, addr, size, value);
     ++lq_searches_;
-    cam_entries_examined_ += lq_.size();
-
-    bool overlapped = false;
-    for (const LoadEntry &le : lq_) {
-        if (le.seq <= seq || !le.completed)
-            continue;
-        const bool overlap =
-            le.addr < addr + size && addr < le.addr + le.size;
-        if (!overlap)
-            continue;
-        overlapped = true;
-        const std::uint64_t expected =
-            composeLoadValue(le.seq, le.addr, le.size);
-        if (expected != le.value) {
-            ++violations_;
-            LsqViolation v;
-            v.squash_from = le.seq;   // earliest conflicting load
-            v.store_pc = se->pc;
-            v.load_pc = le.pc;
-            return v;
-        }
+    cam_entries_examined_ += index_.loadCount();
+    if (c.load_seq != kInvalidSeqNum) {
+        ++violations_;
+        // Squash from the earliest conflicting load.
+        return LsqViolation{c.load_seq, c.store_pc, c.load_pc};
     }
-    if (overlapped)
+    if (c.overlapped)
         ++silent_stores_;
     return std::nullopt;
-}
-
-void
-Lsq::retireLoad(SeqNum seq)
-{
-    if (lq_.empty() || lq_.front().seq != seq)
-        panic("Lsq::retireLoad: head mismatch");
-    lq_.pop_front();
-}
-
-Lsq::StoreData
-Lsq::retireStore(SeqNum seq)
-{
-    if (sq_.empty() || sq_.front().seq != seq)
-        panic("Lsq::retireStore: head mismatch");
-    const StoreEntry &se = sq_.front();
-    if (!se.executed)
-        panic("Lsq::retireStore: store retired before executing");
-    StoreData data{se.addr, se.size, se.value};
-    sq_.pop_front();
-    return data;
-}
-
-void
-Lsq::squashFrom(SeqNum seq)
-{
-    while (!lq_.empty() && lq_.back().seq >= seq)
-        lq_.pop_back();
-    while (!sq_.empty() && sq_.back().seq >= seq)
-        sq_.pop_back();
-}
-
-void
-Lsq::clear()
-{
-    lq_.clear();
-    sq_.clear();
 }
 
 } // namespace slf
