@@ -18,11 +18,6 @@
  * reused (monotonic 64-bit allocation), so `ptr->seq == expected_seq`
  * is a complete staleness check for deferred handles (completion
  * events).
- *
- * Residents are kept seq-sorted by construction (push_back only ever
- * appends the youngest instruction), which makes findSeq() a binary
- * search over the ring — the same O(log n) the old deque lower_bound
- * had, minus the deque's two-level indirection.
  */
 
 #ifndef SLFWD_CPU_INST_RING_HH_
@@ -112,29 +107,6 @@ class InstRing
     {
         --size_;
         slots_[(head_ + size_) & mask_].seq = kInvalidSeqNum;
-    }
-
-    /**
-     * Locate the resident with sequence number @p seq (binary search:
-     * residents are seq-sorted). @return nullptr if absent.
-     */
-    DynInst *
-    findSeq(SeqNum seq)
-    {
-        std::size_t lo = 0, hi = size_;
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (slots_[(head_ + mid) & mask_].seq < seq)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo < size_) {
-            DynInst &d = slots_[(head_ + lo) & mask_];
-            if (d.seq == seq)
-                return &d;
-        }
-        return nullptr;
     }
 
     /**

@@ -149,12 +149,6 @@ OooCore::oldestInflightSeq() const
     return next_seq_;
 }
 
-DynInst *
-OooCore::findInst(SeqNum seq)
-{
-    return rob_.findSeq(seq);
-}
-
 bool
 OooCore::sourcesReady(const DynInst &inst) const
 {

@@ -125,7 +125,6 @@ class OooCore
     void fetchStage();
 
     // --- helpers ---------------------------------------------------------
-    DynInst *findInst(SeqNum seq);
     bool sourcesReady(const DynInst &inst) const;
     bool consumedTagReady(const DynInst &inst) const;
     void scheduleCompletion(DynInst &inst, Cycle latency);

@@ -7,17 +7,6 @@
 namespace slf
 {
 
-const char *
-depKindName(DepKind kind)
-{
-    switch (kind) {
-      case DepKind::True: return "true";
-      case DepKind::Anti: return "anti";
-      case DepKind::Output: return "output";
-    }
-    return "???";
-}
-
 MemDepPredictor::MemDepPredictor(const MemDepParams &params)
     : params_(params),
       stats_("memdep"),

@@ -39,8 +39,6 @@ namespace slf
 /** Kinds of memory ordering violations (and predictions). */
 enum class DepKind : std::uint8_t { True, Anti, Output };
 
-const char *depKindName(DepKind kind);
-
 /** Predictor operating modes (paper Section 3). */
 enum class MemDepMode : std::uint8_t
 {
