@@ -56,12 +56,8 @@ HostProfiler::mergeFrom(const HostProfiler &other)
         sections_[i].ns += other.sections_[i].ns;
         sections_[i].calls += other.sections_[i].calls;
     }
-}
-
-void
-HostProfiler::reset()
-{
-    sections_.fill(Section{});
+    frames_ += other.frames_;
+    frame_ns_ += other.frame_ns_;
 }
 
 std::string

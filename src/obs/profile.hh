@@ -16,7 +16,12 @@
  *    ~1/kFrameStride of wall time; consumers compare sections against
  *    each other, which sampling preserves.
  *  - ScopedTimer: the RAII probe for sections that don't sit on a
- *    stage boundary (the memory-unit probe inside issue). Always timed.
+ *    stage boundary (the memory-unit probe inside issue). Inside a
+ *    frame it follows the frame's sampling, and its time is taken out
+ *    of the stage section that encloses it, so sections are exclusive:
+ *    over the sampled frames they sum exactly to frameNs(), the time
+ *    from each frame's first clock read to its last mark. Outside any
+ *    frame it times every call.
  *
  * Timestamps come from the TSC on x86-64 (a dozen cycles per read,
  * versus ~20 ns for a steady_clock vDSO call) and fall back to
@@ -89,7 +94,10 @@ class HostProfiler
     }
 
     void mergeFrom(const HostProfiler &other);
-    void reset();
+
+    /** Sampled frames, and their summed ns (the sections' total). */
+    std::uint64_t frames() const { return frames_; }
+    std::uint64_t frameNs() const { return frame_ns_; }
 
     /** "section  calls  total_ms  ns/call" table. */
     std::string toString() const;
@@ -116,16 +124,76 @@ class HostProfiler
     /** StageFrame sampling stride: 1-in-N frames read the clock. */
     static constexpr std::uint32_t kFrameStride = 8;
 
-    /** Advance the frame counter; true when this frame is sampled. */
+    // --- frame bookkeeping, driven by StageFrame and ScopedTimer ------
+
+    /** Open a frame; true (and the clock started) when it is sampled. */
     bool
-    beginFrame()
+    openFrame()
     {
-        return frame_count_++ % kFrameStride == 0;
+        in_frame_ = true;
+        sampled_ = frame_count_++ % kFrameStride == 0;
+        if (sampled_) {
+            ns_per_tick_ = nsPerTick();
+            frame_start_ = nowTicks();
+            marked_ns_ = 0;
+            nested_ns_ = 0;
+        }
+        return sampled_;
+    }
+
+    /** Sampled frame: charge the time since the last boundary, less
+     *  what nested timers took, to @p s. */
+    void
+    markFrame(ProfSection s)
+    {
+        const std::uint64_t now = frameElapsedNs();
+        add(s, now - marked_ns_ - nested_ns_);
+        marked_ns_ = now;
+        nested_ns_ = 0;
+    }
+
+    void
+    closeFrame()
+    {
+        if (sampled_) {
+            frame_ns_ += marked_ns_;
+            ++frames_;
+        }
+        in_frame_ = sampled_ = false;
+    }
+
+    bool inFrame() const { return in_frame_; }
+    bool frameSampled() const { return sampled_; }
+
+    /** ns since the sampled frame's first clock read. Every reading in
+     *  a frame converts from that one origin, so intervals never lose
+     *  a rounding step and nested ones never exceed their enclosure. */
+    std::uint64_t
+    frameElapsedNs() const
+    {
+        return static_cast<std::uint64_t>(
+            double(nowTicks() - frame_start_) * ns_per_tick_);
+    }
+
+    /** A nested timer inside the current sampled frame took @p ns. */
+    void
+    addNested(ProfSection s, std::uint64_t ns)
+    {
+        add(s, ns);
+        nested_ns_ += ns;
     }
 
   private:
     std::array<Section, kProfSectionCount> sections_{};
     std::uint32_t frame_count_ = 0;
+    std::uint64_t frames_ = 0;
+    std::uint64_t frame_ns_ = 0;
+    bool in_frame_ = false;
+    bool sampled_ = false;
+    double ns_per_tick_ = 1.0;
+    std::uint64_t frame_start_ = 0;
+    std::uint64_t marked_ns_ = 0;
+    std::uint64_t nested_ns_ = 0;
 };
 
 /**
@@ -136,25 +204,21 @@ class HostProfiler
 class StageFrame
 {
   public:
-    explicit StageFrame(HostProfiler *profiler) : profiler_(profiler)
+    explicit StageFrame(HostProfiler *profiler)
+        : profiler_(profiler), sampled_(profiler && profiler->openFrame())
+    {}
+
+    ~StageFrame()
     {
-        if (profiler_ && profiler_->beginFrame()) {
-            sampled_ = true;
-            ns_per_tick_ = HostProfiler::nsPerTick();
-            last_ = HostProfiler::nowTicks();
-        }
+        if (profiler_)
+            profiler_->closeFrame();
     }
 
     void
     mark(ProfSection s)
     {
-        if (!sampled_)
-            return;
-        const std::uint64_t now = HostProfiler::nowTicks();
-        profiler_->add(
-            s, static_cast<std::uint64_t>(double(now - last_) *
-                                          ns_per_tick_));
-        last_ = now;
+        if (sampled_)
+            profiler_->markFrame(s);
     }
 
     StageFrame(const StageFrame &) = delete;
@@ -162,30 +226,40 @@ class StageFrame
 
   private:
     HostProfiler *profiler_;
-    bool sampled_ = false;
-    std::uint64_t last_ = 0;
-    double ns_per_tick_ = 1.0;
+    bool sampled_;
 };
 
-/** RAII probe; no clock is read when @p profiler is null. */
+/** RAII probe; no clock is read when @p profiler is null or the
+ *  enclosing frame is not sampled. */
 class ScopedTimer
 {
   public:
     ScopedTimer(HostProfiler *profiler, ProfSection section)
         : profiler_(profiler), section_(section)
     {
-        if (profiler_)
+        if (!profiler_)
+            return;
+        nested_ = profiler_->inFrame();
+        if (!nested_)
             start_ = HostProfiler::nowTicks();
+        else if (profiler_->frameSampled())
+            start_ = profiler_->frameElapsedNs();
+        else
+            profiler_ = nullptr;
     }
 
     ~ScopedTimer()
     {
-        if (profiler_) {
-            const std::uint64_t end = HostProfiler::nowTicks();
-            profiler_->add(
-                section_,
-                static_cast<std::uint64_t>(
-                    double(end - start_) * HostProfiler::nsPerTick()));
+        if (!profiler_)
+            return;
+        if (nested_) {
+            profiler_->addNested(section_,
+                                 profiler_->frameElapsedNs() - start_);
+        } else {
+            profiler_->add(section_,
+                           static_cast<std::uint64_t>(
+                               double(HostProfiler::nowTicks() - start_) *
+                               HostProfiler::nsPerTick()));
         }
     }
 
@@ -195,7 +269,8 @@ class ScopedTimer
   private:
     HostProfiler *profiler_;
     ProfSection section_;
-    std::uint64_t start_ = 0;
+    bool nested_ = false;
+    std::uint64_t start_ = 0;   ///< ticks, or frame ns when nested
 };
 
 } // namespace slf::obs

@@ -598,3 +598,32 @@ TEST(HostProfiler, AttachedProfilerSeesEveryPipelineStage)
             << "section " << obs::profSectionName(s) << " never timed";
     }
 }
+
+TEST(HostProfiler, SectionsAreExclusiveAndSumToTheFrameTotal)
+{
+    // The memory probe runs inside the issue stage. It must be timed
+    // on the sampled frames only, and its time taken out of the
+    // enclosing section, so the sections add up to the frames.
+    CoreConfig cfg = CoreConfig::baseline();
+    obs::HostProfiler prof;
+    cfg.obs.profiler = &prof;
+    const SimResult r = runWorkload(cfg, workloads::microForwardChain(2000));
+    ASSERT_GT(r.cycles, 0u);
+
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < obs::kProfSectionCount; ++i)
+        sum += prof.section(static_cast<obs::ProfSection>(i)).ns;
+    EXPECT_GT(prof.frameNs(), 0u);
+    EXPECT_EQ(sum, prof.frameNs());
+
+    // One retire mark per sampled frame, and 1-in-kFrameStride frames
+    // sampled.
+    EXPECT_EQ(prof.section(obs::ProfSection::Retire).calls, prof.frames());
+    EXPECT_EQ(prof.frames(),
+              (r.cycles + obs::HostProfiler::kFrameStride - 1) /
+                  obs::HostProfiler::kFrameStride);
+    const std::uint64_t probes =
+        prof.section(obs::ProfSection::MemProbe).calls;
+    EXPECT_GT(probes, 0u);
+    EXPECT_LT(probes * 4, r.loads_retired + r.stores_retired);
+}
