@@ -212,6 +212,54 @@ TEST(GoldenCheckerCampaign, FaultCampaignIsDeterministic)
     EXPECT_EQ(a.cycles, b.cycles);
 }
 
+TEST(GoldenCheckerCampaign, DivergenceReportTextIsPinned)
+{
+    // The full report text of injected divergences, `golden:` state line
+    // and squash history included, byte for byte: the golden-model state
+    // must be the architectural state right after the diverging
+    // instruction, however the checker obtains it.
+    CoreConfig cfg = faultCfg();
+    cfg.fault.mdt_evict_rate = 0.01;
+    const SimResult mdt =
+        runWorkload(cfg, workloads::microCorruptionExample(300));
+    EXPECT_EQ(mdt.check_failures, 739u);
+    ASSERT_EQ(mdt.check_reports.size(), GoldenChecker::kMaxReports);
+    EXPECT_EQ(mdt.check_reports.front().toString(),
+              "golden-model divergence (result): seq 30 pc 0xc cycle 238 "
+              "(ld8 r3, 0(r2)) expected 0x14353 actual 0xa1a1 addr "
+              "0x20b000\n"
+              "  golden: pc=0xd retired=30 r1=0x154e24a0a456e968 "
+              "r2=0x20b000 r3=0x14353 r4=0x1 r5=0x14353 r6=0xb2b2 "
+              "r7=0xa1a1\n"
+              "  recent squashes: cycle 234 branch from seq 42 (1 insts)");
+    EXPECT_EQ(mdt.check_reports.back().toString(),
+              "golden-model divergence (committed store data): seq 154 pc "
+              "0xb cycle 317 (st8 r5, 0(r2)) expected 0xc3358 actual "
+              "0x9ac90 addr 0x20b000\n"
+              "  golden: pc=0xc retired=134 r1=0xd95a66b66eb8d82e "
+              "r2=0x20b000 r3=0xb8095 r4=0x0 r5=0xc3358 r6=0xb2b2 "
+              "r7=0xb2b2\n"
+              "  recent squashes: cycle 234 branch from seq 42 (1 insts); "
+              "cycle 250 branch from seq 61 (1 insts); cycle 253 branch "
+              "from seq 55 (6 insts); cycle 267 mem-violation from seq 72 "
+              "(11 insts); cycle 298 branch from seq 149 (1 insts)");
+
+    cfg.fault.mdt_evict_rate = 0;
+    cfg.fault.fifo_payload_rate = 0.01;
+    const SimResult fifo = runWorkload(cfg, workloads::microStreaming(300));
+    EXPECT_EQ(fifo.check_failures, 5u);
+    ASSERT_FALSE(fifo.check_reports.empty());
+    EXPECT_EQ(fifo.check_reports.front().toString(),
+              "golden-model divergence (committed store data): seq 54 pc "
+              "0x8 cycle 240 (st8 r4, 0(r3)) expected 0x0 actual "
+              "0x8339fc6ff338e749 addr 0x1100020\n"
+              "  golden: pc=0x9 retired=53 r1=0x20 r2=0x1000020 "
+              "r3=0x1100020 r4=0x0 r5=0x0 r6=0x0 r7=0x0\n"
+              "  recent squashes: cycle 126 branch from seq 48 (1 insts); "
+              "cycle 140 branch from seq 60 (1 insts); cycle 230 branch "
+              "from seq 138 (1 insts)");
+}
+
 // ---------------------------------------------------------------------
 // Watchdogs
 // ---------------------------------------------------------------------
