@@ -3,8 +3,11 @@
  * Execution-driven out-of-order superscalar core (paper Section 3).
  *
  * The core executes *all* instructions, including wrong-path ones, and
- * validates every retiring instruction against a lockstep architectural
- * simulator, matching the paper's methodology. It models:
+ * validates every retiring instruction against an architectural
+ * simulator's record of it, matching the paper's methodology. The
+ * program runs functionally once per core (ArchStream): fetch's oracle
+ * reads ahead of that stream and the golden checker consumes it at
+ * retire. It models:
  *
  *  - fetch along the predicted path (gshare + the Figure-4 oracle that
  *    converts 80% of correct-path mispredictions into correct
@@ -35,7 +38,7 @@
 #include <memory>
 #include <vector>
 
-#include "arch/func_sim.hh"
+#include "arch/arch_stream.hh"
 #include "cpu/core_config.hh"
 #include "cpu/dyn_inst.hh"
 #include "cpu/inst_ring.hh"
@@ -96,7 +99,7 @@ class OooCore
     CacheHierarchy &caches() { return caches_; }
     const MainMemory &committedMemory() const { return mem_; }
     const CoreConfig &config() const { return cfg_; }
-    std::size_t robOccupancy() const { return rob_.size(); }
+    std::size_t robOccupancy() const { return rob_.robSize(); }
     std::size_t schedulerSize() const { return sched_count_; }
     std::uint64_t squashCount() const { return squash_count_; }
 
@@ -107,12 +110,15 @@ class OooCore
     FaultInjector *faultInjector() { return injector_.get(); }
 
     /**
-     * Structural self-check of the window bookkeeping: ROB sequence
-     * ordering, scheduler-census <-> in_scheduler consistency, the
-     * stall-bit census, and the scheduler index (every wait set and
-     * ready bit recomputed by brute force from the preg and tag
-     * scoreboards, every wakeup list walked). @return false (with
-     * @p why filled) on breakage.
+     * Structural self-check of the window bookkeeping: sequence
+     * ordering across the ROB and fetch segments, each segment within
+     * its limit, fetch residents outside the scheduler,
+     * scheduler-census <-> in_scheduler consistency, the stall-bit
+     * census, the scheduler index (every wait set and ready bit
+     * recomputed by brute force from the preg and tag scoreboards,
+     * every wakeup list walked) and the architectural stream (every
+     * correct-path resident's record still resident and matching).
+     * @return false (with @p why filled) on breakage.
      */
     bool checkInvariants(std::string *why = nullptr) const;
 
@@ -212,10 +218,9 @@ class OooCore
     /** Fault injector shared with the memory unit (null when disabled). */
     std::unique_ptr<FaultInjector> injector_;
 
-    /** Precomputed architectural control trace for the fetch oracle. */
-    std::vector<std::uint64_t> trace_pc_;
-    std::vector<std::uint64_t> trace_next_pc_;
-    std::vector<std::uint8_t> trace_taken_;
+    /** The architectural stream: fetch's oracle reads ahead of it, the
+     *  checker consumes it at retire. */
+    ArchStream stream_;
 
     // --- rename state ---------------------------------------------------
     std::vector<std::uint64_t> preg_val_;
@@ -229,14 +234,14 @@ class OooCore
 
     // --- windows ---------------------------------------------------------
     /**
-     * Fetch queue and ROB: fixed circular arrays of DynInst slots sized
-     * by the configuration — the per-core instruction arena. Slots are
-     * recycled in place at retire/squash; the backing storage never
-     * reallocates, so DynInst pointers are stable for an instruction's
-     * whole residency and `ptr->seq == seq` is a complete staleness
-     * check afterwards (sequence numbers are never reused).
+     * The instruction window: one circular array of DynInst slots, the
+     * per-core instruction arena, whose head segment is the ROB and
+     * whose tail segment is the fetch queue. An instruction keeps one
+     * slot from fetch to retire (dispatch moves the segment boundary),
+     * so DynInst pointers and slot indices are stable for its whole
+     * residency and `ptr->seq == seq` is a complete staleness check
+     * afterwards (sequence numbers are never reused).
      */
-    InstRing fetchq_;
     InstRing rob_;
     /**
      * Scheduler window: the `in_scheduler` flags of ROB residents plus

@@ -46,8 +46,7 @@ CheckFailure::toString() const
 }
 
 GoldenChecker::GoldenChecker(const Program &prog, bool abort_on_divergence)
-    : golden_(prog),
-      abort_on_divergence_(abort_on_divergence),
+    : abort_on_divergence_(abort_on_divergence),
       stats_("golden_checker"),
       table_(stats_),
       checked_(table_[obs::CheckerStat::RetirementsChecked]),
@@ -55,7 +54,9 @@ GoldenChecker::GoldenChecker(const Program &prog, bool abort_on_divergence)
       store_commit_failures_(table_[obs::CheckerStat::FailuresStoreCommit]),
       final_checks_(table_[obs::CheckerStat::FinalMemoryChecks]),
       squashes_seen_(table_[obs::CheckerStat::SquashesSeen])
-{}
+{
+    golden_.mem.loadInitialImage(prog);
+}
 
 void
 GoldenChecker::noteSquash(Cycle cycle, SeqNum from, std::uint64_t count,
@@ -87,7 +88,7 @@ GoldenChecker::squashHistoryString() const
 void
 GoldenChecker::report(CheckFailure f)
 {
-    f.golden_state = golden_.stateString();
+    f.golden_state = golden_.toString();
     f.squash_history = squashHistoryString();
     ++failures_;
     SLF_OBS_EMIT(trace_, obs::EventKind::CheckerFail, obs::Track::Verify,
@@ -102,9 +103,10 @@ GoldenChecker::report(CheckFailure f)
 }
 
 void
-GoldenChecker::checkRetirement(const DynInst &inst, Cycle cycle)
+GoldenChecker::checkRetirement(const DynInst &inst, const RetireRecord &g,
+                               Cycle cycle)
 {
-    const RetireRecord g = golden_.step();
+    golden_.apply(g);
     ++checked_;
 
     // Failure reports are built lazily: disassembly and field copies
@@ -162,7 +164,7 @@ GoldenChecker::checkCommittedStore(const DynInst &inst,
 {
     const std::uint64_t committed = mem.readBytes(inst.addr, inst.size);
     const std::uint64_t expected =
-        golden_.memory().readBytes(inst.addr, inst.size);
+        golden_.mem.readBytes(inst.addr, inst.size);
     if (committed == expected)
         return;
     CheckFailure f;
@@ -181,14 +183,14 @@ void
 GoldenChecker::checkFinalMemory(const MainMemory &mem, Cycle cycle)
 {
     ++final_checks_;
-    const auto diff = golden_.memory().firstDifference(mem);
+    const auto diff = golden_.mem.firstDifference(mem);
     if (!diff)
         return;
     CheckFailure f;
     f.kind = CheckFailure::Kind::FinalMemory;
     f.cycle = cycle;
     f.addr = *diff;
-    f.expected = golden_.memory().read8(*diff);
+    f.expected = golden_.mem.read8(*diff);
     f.actual = mem.read8(*diff);
     report(std::move(f));
 }

@@ -2,13 +2,16 @@
  * @file
  * Retirement-lockstep golden-model checker.
  *
- * Advances the functional simulator one instruction per retirement of
- * the timing core and cross-checks everything architecture-visible: PC,
- * opcode, register writeback value, load value, store address/size and
+ * Takes the functional simulator's record of each retiring instruction
+ * (the core's ArchStream produces them; the program runs functionally
+ * once per timing run) and cross-checks everything architecture-visible:
+ * PC, opcode, register writeback value, load value, store address/size and
  * store data — plus, after the store FIFO drains a slot, the bytes that
  * actually landed in committed memory (which catches payload corruption
  * the per-instruction check cannot see), and the final memory image
- * when a run drains completely.
+ * when a run drains completely. The checker keeps its own golden
+ * register file and memory image by applying every record it consumes,
+ * so they always reflect exactly the retired prefix of the program.
  *
  * A divergence produces a structured CheckFailure carrying the dynamic
  * instruction, the expected/actual values, the golden architectural
@@ -87,8 +90,10 @@ class GoldenChecker
     void noteSquash(Cycle cycle, SeqNum from, std::uint64_t count,
                     const char *reason);
 
-    /** Step the golden model and cross-check one retiring instruction. */
-    void checkRetirement(const DynInst &inst, Cycle cycle);
+    /** Apply @p golden, the functional record of the instruction
+     *  retiring now, and cross-check @p inst against it. */
+    void checkRetirement(const DynInst &inst, const RetireRecord &golden,
+                         Cycle cycle);
 
     /**
      * After a retiring store drained to committed memory: compare the
@@ -112,7 +117,6 @@ class GoldenChecker
     /** Structured reports (capped at kMaxReports; counters are not). */
     const std::vector<CheckFailure> &reports() const { return reports_; }
 
-    const FuncSim &golden() const { return golden_; }
     StatGroup &stats() { return stats_; }
     /** Typed counter read (the name is compile-checked). */
     std::uint64_t statValue(obs::CheckerStat s) const
@@ -140,7 +144,8 @@ class GoldenChecker
 
     std::string squashHistoryString() const;
 
-    FuncSim golden_;
+    /** Golden architectural state after the last checked retirement. */
+    ArchState golden_;
     bool abort_on_divergence_;
     std::deque<SquashEvent> squashes_;
     std::vector<CheckFailure> reports_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_stream.hh"
 #include "arch/func_sim.hh"
 #include "prog/builder.hh"
 
@@ -234,4 +235,74 @@ TEST(FuncSim, MemoryImageLoadedBeforeExecution)
     FuncSim sim(prog);
     sim.run(10);
     EXPECT_EQ(sim.readReg(2), 1234u);
+}
+
+// ---------------------------------------------------------------------
+// ArchStream: the functional stream one timing run reads ahead of and
+// consumes at retire.
+// ---------------------------------------------------------------------
+
+TEST(ArchStream, RecordsMatchAFuncSimRunAndEndAtHalt)
+{
+    const Program p = singleOpProgram(Op::ADD, 4, 5, 0);
+    FuncSim ref(p);
+    const std::vector<RetireRecord> want = ref.run(100);
+    ASSERT_EQ(want.size(), 4u);   // movi, movi, add, halt
+
+    ArchStream stream(p, 100, 2);
+    EXPECT_EQ(stream.capacity(), 2u);
+    for (std::uint64_t i = 0; i < want.size(); ++i) {
+        const RetireRecord *r = stream.find(i);
+        ASSERT_NE(r, nullptr) << "record " << i;
+        EXPECT_EQ(r->pc, want[i].pc);
+        EXPECT_EQ(r->next_pc, want[i].next_pc);
+        EXPECT_EQ(r->result, want[i].result);
+        EXPECT_EQ(stream.retire().pc, want[i].pc);
+    }
+    EXPECT_TRUE(stream.ended());
+    EXPECT_EQ(stream.find(4), nullptr) << "no record past HALT";
+    // Retiring past HALT yields HALT records, as FuncSim::step does.
+    const RetireRecord &past = stream.retire();
+    EXPECT_TRUE(past.is_halt);
+    EXPECT_EQ(past.pc, want.back().pc);
+}
+
+TEST(ArchStream, LimitEndsTheStreamAndReadsStayResident)
+{
+    const Program p = singleOpProgram(Op::ADD, 4, 5, 0);
+    ArchStream stream(p, 2, 4);
+    ASSERT_NE(stream.find(1), nullptr);
+    EXPECT_EQ(stream.find(2), nullptr) << "record past the limit";
+    EXPECT_TRUE(stream.ended());
+    EXPECT_EQ(stream.peek(0), stream.find(0));
+    stream.retire();
+    EXPECT_EQ(stream.retired(), 1u);
+    EXPECT_EQ(stream.peek(0), nullptr);
+    EXPECT_NE(stream.peek(1), nullptr);
+}
+
+TEST(ArchStreamDeathTest, ReadsOutsideTheResidentWindowPanic)
+{
+    const Program p = singleOpProgram(Op::ADD, 4, 5, 0);
+    ArchStream stream(p, 100, 2);
+    stream.retire();
+    EXPECT_DEATH(stream.find(0), "panic: ArchStream: record 0 is no longer "
+                                 "resident");
+    EXPECT_DEATH(stream.find(3), "panic: ArchStream: record 3 is past the "
+                                 "ring");
+}
+
+TEST(ArchState, ApplyingRecordsRebuildsTheFuncSimState)
+{
+    const Program p = singleOpProgram(Op::ADD, 4, 5, 0);
+    FuncSim sim(p);
+    ArchState st;
+    st.mem.loadInitialImage(p);
+    while (!sim.halted())
+        st.apply(sim.step());
+    st.apply(sim.step());   // past HALT: no effect
+    EXPECT_EQ(st.toString(), sim.state().toString());
+    EXPECT_EQ(st.regs[3], 9u);
+    EXPECT_EQ(st.retired, 4u);
+    EXPECT_TRUE(st.halted);
 }
