@@ -1,22 +1,8 @@
 #include "mdt.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "sim/logging.hh"
-
-namespace
-{
-
-bool
-watchedBlock(std::uint64_t block, unsigned granularity)
-{
-    const std::uint64_t w = slf::Debug::watchAddr();
-    return w != 0 && w / granularity == block;
-}
-
-} // namespace
 
 namespace slf
 {
@@ -166,14 +152,6 @@ Mdt::loadOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
 {
     MdtAccess result;
     Entry *e = findOrAlloc(block);
-    if (watchedBlock(block, params_.granularity)) {
-        std::fprintf(stderr,
-                     "[Watch] mdt load block %#" PRIx64 " seq %" PRIu64
-                     " entry %p ls %" PRIu64 "/%d ss %" PRIu64 "/%d\n",
-                     block, seq, static_cast<void *>(e),
-                     e ? e->load_seq : 0, e ? e->load_valid : 0,
-                     e ? e->store_seq : 0, e ? e->store_valid : 0);
-    }
     if (!e) {
         ++conflicts_;
         result.status = MdtAccess::Status::Conflict;
@@ -207,14 +185,6 @@ Mdt::storeOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
 {
     MdtAccess result;
     Entry *e = findOrAlloc(block);
-    if (watchedBlock(block, params_.granularity)) {
-        std::fprintf(stderr,
-                     "[Watch] mdt store block %#" PRIx64 " seq %" PRIu64
-                     " entry %p ls %" PRIu64 "/%d ss %" PRIu64 "/%d\n",
-                     block, seq, static_cast<void *>(e),
-                     e ? e->load_seq : 0, e ? e->load_valid : 0,
-                     e ? e->store_seq : 0, e ? e->store_valid : 0);
-    }
     if (!e) {
         ++conflicts_;
         result.status = MdtAccess::Status::Conflict;

@@ -1,23 +1,8 @@
 #include "sfc.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "sim/logging.hh"
-
-namespace
-{
-
-/** Targeted tracing for SLFWD_WATCH_ADDR. */
-bool
-watched(slf::Addr addr, unsigned size)
-{
-    const std::uint64_t w = slf::Debug::watchAddr();
-    return w != 0 && w >= addr && w < addr + size;
-}
-
-} // namespace
 
 namespace slf
 {
@@ -125,13 +110,6 @@ SfcStoreResult
 Sfc::storeWrite(Addr addr, unsigned size, std::uint64_t value, SeqNum seq)
 {
     ++store_writes_;
-    if (watched(addr, size)) {
-        std::fprintf(stderr,
-                     "[Watch] sfc storeWrite addr %#" PRIx64 " size %u"
-                     " value %#" PRIx64 " seq %" PRIu64 "\n",
-                     addr, size, value, seq);
-    }
-
     // A store may straddle two aligned words; both must be writable.
     // One table probe per word, not per byte.
     for (unsigned i = 0; i < size;) {
@@ -228,26 +206,12 @@ Sfc::loadRead(Addr addr, unsigned size)
     } else {
         result.status = SfcLoadResult::Status::Miss;
     }
-    if (watched(addr, size)) {
-        std::fprintf(stderr,
-                     "[Watch] sfc loadRead addr %#" PRIx64 " size %u"
-                     " -> status %d value %#" PRIx64 " mask %#x\n",
-                     addr, size, static_cast<int>(result.status),
-                     result.value, result.valid_mask);
-    }
     return result;
 }
 
 void
 Sfc::retireStore(Addr addr, unsigned size, SeqNum seq)
 {
-    if (watched(addr, size)) {
-        Entry *e = find(addr / kSfcWordBytes);
-        std::fprintf(stderr,
-                     "[Watch] sfc retireStore addr %#" PRIx64 " seq %"
-                     PRIu64 " entry_last_seq %" PRIu64 "\n",
-                     addr, seq, e ? e->last_store_seq : 0);
-    }
     for (unsigned i = 0; i < size; ++i) {
         const std::uint64_t word = (addr + i) / kSfcWordBytes;
         Entry *e = find(word);

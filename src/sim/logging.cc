@@ -141,14 +141,4 @@ Debug::clearCycleSource(const std::uint64_t *cycle)
         cycleSource() = nullptr;
 }
 
-std::uint64_t
-Debug::watchAddr()
-{
-    static const std::uint64_t addr = [] {
-        const char *env = std::getenv("SLFWD_WATCH_ADDR");
-        return env ? std::strtoull(env, nullptr, 0) : 0ull;
-    }();
-    return addr;
-}
-
 } // namespace slf

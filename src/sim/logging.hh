@@ -116,13 +116,6 @@ class Debug
     static void setCycleSource(const std::uint64_t *cycle);
     static void clearCycleSource(const std::uint64_t *cycle);
 
-    /**
-     * Watched byte address for targeted memory-system tracing, from the
-     * SLFWD_WATCH_ADDR environment variable (0 = none). The SFC and MDT
-     * report every event touching it.
-     */
-    static std::uint64_t watchAddr();
-
   private:
     /** Parse SLFWD_DEBUG (under the flag mutex), then answer. */
     static bool anyEnabledSlow();
