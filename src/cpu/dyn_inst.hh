@@ -24,7 +24,7 @@ struct DynInst
     // --- fetch-time state ---------------------------------------------
     /** True while fetch tracks the architectural path. */
     bool on_correct_path = true;
-    /** Index into the precomputed architectural control trace. */
+    /** Architectural stream index (ArchStream) while on the correct path. */
     std::uint64_t cp_index = 0;
     /** Gshare global history at fetch (for training and flush repair). */
     std::uint16_t ghist = 0;
