@@ -96,6 +96,21 @@ TEST_P(SubsystemTest, MaxInstsStopsTheRun)
     EXPECT_EQ(r.insts, 5000u);
 }
 
+TEST_P(SubsystemTest, LargestMaxInstsRunsToHalt)
+{
+    // No retirement limit at all: the functional stream must not end
+    // before the program does.
+    const Program prog = workloads::microAluLoop(1000);
+    CoreConfig cfg = baseCfg(GetParam());
+    cfg.max_insts = ~std::uint64_t{0};
+    CoreConfig capped = cfg;
+    capped.max_insts = 1'000'000;
+    const SimResult r = runWorkload(cfg, prog);
+    EXPECT_TRUE(r.checker_clean);
+    EXPECT_EQ(r.insts, runWorkload(capped, prog).insts);
+    EXPECT_GT(r.insts, 1000u);
+}
+
 TEST_P(SubsystemTest, MaxCyclesStopsTheRun)
 {
     const Program prog = workloads::microAluLoop(1000000);
