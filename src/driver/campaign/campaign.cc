@@ -1,17 +1,13 @@
 #include "campaign.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
-#include <sstream>
 #include <thread>
 #include <unistd.h>
 
 #include "campaign/journal.hh"
-#include "campaign/result_sink.hh"
 #include "campaign/thread_pool.hh"
 #include "obs/telemetry.hh"
 #include "sim/logging.hh"
@@ -56,23 +52,13 @@ Campaign::addJob(JobSpec spec)
 namespace
 {
 
-/** Borrowed telemetry seams runJob publishes through; every pointer may
- *  be null (telemetry off = zero overhead on the job path). */
-struct JobTelemetry
-{
-    obs::SpanSink *spans = nullptr;
-    obs::Counter *deadline_armed = nullptr;
-    obs::Counter *deadline_fired = nullptr;
-    obs::Counter *retries = nullptr;
-};
-
 /** Run one job to completion, retrying fatal() deaths and deadline
  *  expiries with backoff; exhausted jobs come back quarantined
  *  (status Fatal/Timeout) with the last error and the seeds of the
  *  last attempt, never as an exception. */
 JobResult
 runJob(const JobSpec &spec, std::size_t index, const CampaignOptions &opts,
-       const JobTelemetry &jt)
+       obs::SpanSink *spans)
 {
     JobResult jr;
     jr.index = index;
@@ -91,8 +77,6 @@ runJob(const JobSpec &spec, std::size_t index, const CampaignOptions &opts,
 
     for (unsigned attempt = 0;; ++attempt) {
         jr.attempts = attempt + 1;
-        if (attempt > 0 && jt.retries)
-            jt.retries->add(1);
 
         CoreConfig cfg = spec.cfg;
         // TraceSink / HostProfiler / LifetimeSink are single-run,
@@ -108,23 +92,20 @@ runJob(const JobSpec &spec, std::size_t index, const CampaignOptions &opts,
             cfg.fault.seed =
                 jobSeed(opts.root_seed, index, SeedStream::Fault, attempt);
         }
-        if (opts.job_timeout_ms) {
+        if (opts.job_timeout_ms)
             cfg.deadline_ms = opts.job_timeout_ms;
-            if (jt.deadline_armed)
-                jt.deadline_armed->add(1);
-        }
         // The seeds this attempt actually runs with: recorded so a
         // quarantined job's manifest entry reproduces offline.
         jr.core_seed = cfg.rng_seed;
         jr.fault_seed = cfg.fault.seed;
 
-        const std::uint64_t t0 = jt.spans ? jt.spans->nowUs() : 0;
+        const std::uint64_t t0 = spans ? spans->nowUs() : 0;
         auto attemptSpan = [&](const char *status) {
-            if (!jt.spans)
+            if (!spans)
                 return;
-            jt.spans->record({obs::SpanKind::Attempt, worker,
-                              std::uint64_t(index), attempt, t0,
-                              jt.spans->nowUs(), span_name, status});
+            spans->record({obs::SpanKind::Attempt, worker,
+                           std::uint64_t(index), attempt, t0,
+                           spans->nowUs(), span_name, status});
         };
 
         try {
@@ -135,8 +116,6 @@ runJob(const JobSpec &spec, std::size_t index, const CampaignOptions &opts,
             return jr;
         } catch (const JobTimeout &e) {
             jr.error = e.what();
-            if (jt.deadline_fired)
-                jt.deadline_fired->add(1);
             if (attempt >= opts.max_retries) {
                 jr.status = JobStatus::Timeout;
                 attemptSpan("timeout");
@@ -157,98 +136,6 @@ runJob(const JobSpec &spec, std::size_t index, const CampaignOptions &opts,
         std::this_thread::sleep_for(backoff);
     }
 }
-
-/** FNV-1a of the campaign identity (name, root seed, job count): the
- *  heartbeat's "digest" field, so a watcher tailing several files can
- *  tell two campaigns apart even when they share a name. */
-std::string
-campaignDigest(const std::string &name, std::uint64_t root_seed,
-               std::size_t job_count)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto byte = [&](unsigned char b) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    };
-    for (char c : name)
-        byte(static_cast<unsigned char>(c));
-    byte(0);
-    for (unsigned i = 0; i < 8; ++i)
-        byte((root_seed >> (8 * i)) & 0xff);
-    for (unsigned i = 0; i < 8; ++i)
-        byte((std::uint64_t(job_count) >> (8 * i)) & 0xff);
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
-/** Per-backend campaign aggregates (heartbeat "backends" section and
- *  the labeled slfwd_backend_* series). Indexed by BackendKind. */
-struct BackendAgg
-{
-    std::atomic<std::uint64_t> jobs{0};
-    std::atomic<std::uint64_t> insts{0};
-    std::atomic<std::uint64_t> wall_ms{0};
-};
-
-constexpr std::size_t kBackendKinds = 3;  // Timing, FuncBatch, Synthetic
-
-/** Rolling per-job wall-time EWMA + slowest-K ranking, mutex-guarded
- *  (updated once per job, read once per heartbeat — never hot). */
-class WallStats
-{
-  public:
-    struct Slow
-    {
-        std::uint64_t job = 0;
-        std::string config;
-        std::string workload;
-        std::uint64_t wall_ms = 0;
-    };
-
-    void
-    observe(std::uint64_t job, const std::string &config,
-            const std::string &workload, std::uint64_t wall_ms)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // alpha = 0.3: a few jobs of history, reacts within ~3 jobs.
-        ewma_ms_ = seeded_ ? 0.7 * ewma_ms_ + 0.3 * double(wall_ms)
-                           : double(wall_ms);
-        seeded_ = true;
-        slowest_.push_back({job, config, workload, wall_ms});
-        std::sort(slowest_.begin(), slowest_.end(),
-                  [](const Slow &a, const Slow &b) {
-                      if (a.wall_ms != b.wall_ms)
-                          return a.wall_ms > b.wall_ms;
-                      return a.job < b.job;
-                  });
-        if (slowest_.size() > kSlowestK)
-            slowest_.resize(kSlowestK);
-    }
-
-    double
-    ewmaMs() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return seeded_ ? ewma_ms_ : 0.0;
-    }
-
-    std::vector<Slow>
-    slowest() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return slowest_;
-    }
-
-    static constexpr std::size_t kSlowestK = 5;
-
-  private:
-    mutable std::mutex mutex_;
-    double ewma_ms_ = 0.0;
-    bool seeded_ = false;
-    std::vector<Slow> slowest_;
-};
 
 } // namespace
 
@@ -317,277 +204,54 @@ Campaign::run(const CampaignOptions &opts) const
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> failed{0};
 
-    // ------------------------------------------------------------------
-    // Telemetry setup. Everything below observes; nothing feeds back
-    // into scheduling, seeding or results (byte-identity contract).
-    // ------------------------------------------------------------------
-    const CampaignOptions::TelemetryOptions &topt = opts.telemetry;
-    const bool telem_on = topt.enabled();
-    const unsigned worker_count = opts.jobs == 0 ? 1 : opts.jobs;
-
-    std::unique_ptr<obs::MetricsRegistry> owned_registry;
-    obs::MetricsRegistry *reg = topt.metrics;
-    if (telem_on && !reg) {
-        owned_registry = std::make_unique<obs::MetricsRegistry>();
-        reg = owned_registry.get();
-    }
-
-    JobTelemetry jt;
-    obs::Counter *c_done = nullptr, *c_ok = nullptr, *c_failed = nullptr,
-                 *c_rehydrated = nullptr;
-    obs::Gauge *g_running = nullptr;
-    obs::Histogram *h_wall = nullptr;
-    BackendAgg backend_agg[kBackendKinds];
-    obs::Counter *c_backend_jobs[kBackendKinds] = {};
-    obs::Counter *c_backend_insts[kBackendKinds] = {};
-    obs::Counter *c_backend_wall[kBackendKinds] = {};
-    WallStats wall_stats;
-    // Per-worker state for the heartbeat: the job index each worker is
-    // on, or -1 when idle.
-    std::vector<std::atomic<std::int64_t>> worker_job(
-        telem_on ? worker_count : 0);
-    for (auto &w : worker_job)
-        w.store(-1, std::memory_order_relaxed);
-
-    if (telem_on) {
-        jt.spans = topt.spans;
-        jt.deadline_armed = &reg->counter(
-            "slfwd_deadline_armed_total",
-            "Job attempts started with a wall-clock deadline armed.");
-        jt.deadline_fired = &reg->counter(
-            "slfwd_deadline_fired_total",
-            "Job attempts killed by the wall-clock deadline.");
-        jt.retries = &reg->counter("slfwd_job_retries_total",
-                                   "Job attempts beyond the first.");
-        c_done = &reg->counter("slfwd_jobs_done_total",
-                               "Jobs that reached a terminal status.");
-        c_ok = &reg->counter("slfwd_jobs_ok_total",
-                             "Jobs that finished with status ok.");
-        c_failed = &reg->counter(
-            "slfwd_jobs_failed_total",
-            "Jobs quarantined as fatal or timeout.");
-        c_rehydrated = &reg->counter(
-            "slfwd_jobs_rehydrated_total",
-            "Jobs rehydrated from the journal instead of re-run.");
-        g_running = &reg->gauge("slfwd_jobs_running",
-                                "Jobs currently executing on a worker.");
-        h_wall = &reg->histogram(
-            "slfwd_job_wall_ms", obs::Histogram::defaultTimeBoundsMs(),
-            "Per-job wall clock, all attempts and backoff included.");
-        for (std::size_t k = 0; k < kBackendKinds; ++k) {
-            const std::string label = std::string("{backend=\"") +
-                backendKindName(static_cast<BackendKind>(k)) + "\"}";
-            c_backend_jobs[k] = &reg->counter(
-                "slfwd_backend_jobs_total" + label,
-                "Jobs finished per execution engine.");
-            c_backend_insts[k] = &reg->counter(
-                "slfwd_backend_insts_total" + label,
-                "Instructions retired per execution engine.");
-            c_backend_wall[k] = &reg->counter(
-                "slfwd_backend_wall_ms_total" + label,
-                "Wall clock spent per execution engine.");
-        }
-    }
-
-    // One lambda shared by the live path and the rehydrate loop so the
-    // per-backend aggregates and wall stats agree with the journal.
-    auto accountTerminal = [&](const JobResult &jr) {
-        if (!telem_on)
-            return;
-        c_done->add(1);
-        (jr.ok() ? c_ok : c_failed)->add(1);
-        const auto k = static_cast<std::size_t>(jr.backend);
-        if (k < kBackendKinds) {
-            backend_agg[k].jobs.fetch_add(1, std::memory_order_relaxed);
-            backend_agg[k].insts.fetch_add(jr.result.insts,
-                                           std::memory_order_relaxed);
-            backend_agg[k].wall_ms.fetch_add(jr.wall_ms,
-                                             std::memory_order_relaxed);
-            c_backend_jobs[k]->add(1);
-            c_backend_insts[k]->add(jr.result.insts);
-            c_backend_wall[k]->add(jr.wall_ms);
-        }
-        if (jr.wall_ms) {
-            // Rehydrated samples carry their original run's wall time:
-            // they seed the EWMA so a resumed campaign's ETA is sane
-            // from the first beat.
-            h_wall->observe(double(jr.wall_ms));
-            wall_stats.observe(jr.index, jr.config_name, jr.workload,
-                               jr.wall_ms);
-        }
-    };
-
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
         if (cached[i]) {
             results[i] = std::move(*cached[i]);
             if (!results[i].ok())
                 failed.fetch_add(1, std::memory_order_relaxed);
             done.fetch_add(1, std::memory_order_relaxed);
-            if (telem_on) {
-                c_rehydrated->add(1);
-                accountTerminal(results[i]);
-            }
         }
     }
 
-    // The heartbeat's campaign section, rebuilt on every beat from the
-    // counters above. Runs on the telemetry thread; everything it reads
-    // is an atomic, a mutex-guarded aggregate, or the (thread-safe)
-    // journal accessors.
-    obs::TelemetryThread::ExtraFn extra;
-    if (telem_on) {
-        const std::string digest =
-            campaignDigest(name_, opts.root_seed, jobs_.size());
-        extra = [&, digest](bool final) {
-            const std::size_t total = jobs_.size();
-            const std::size_t n_done =
-                std::min(done.load(std::memory_order_relaxed), total);
-            const std::size_t n_failed =
-                failed.load(std::memory_order_relaxed);
-            std::size_t n_running = 0;
-            std::ostringstream workers;
-            workers << "[";
-            for (std::size_t w = 0; w < worker_job.size(); ++w) {
-                const std::int64_t j =
-                    worker_job[w].load(std::memory_order_relaxed);
-                n_running += j >= 0 ? 1 : 0;
-                workers << (w ? "," : "") << j;
-            }
-            workers << "]";
-            // done and the worker slots are read racily (relaxed): a
-            // beat can land between a worker clearing its slot and the
-            // done increment, so clamp instead of trusting arithmetic.
-            const std::size_t n_pending =
-                total >= n_done + n_running ? total - n_done - n_running
-                                            : 0;
-
-            const double ewma = wall_stats.ewmaMs();
-            const std::uint64_t eta_ms =
-                ewma > 0.0 ? std::uint64_t(ewma *
-                                           double(total - n_done) /
-                                           double(worker_count))
-                           : 0;
-
-            std::ostringstream os;
-            os << "\"campaign\":\"" << name_ << "\",\"digest\":\""
-               << digest << "\""
-               << ",\"jobs\":{\"total\":" << total
-               << ",\"done\":" << n_done << ",\"running\":" << n_running
-               << ",\"pending\":" << n_pending
-               << ",\"ok\":" << (n_done - n_failed)
-               << ",\"failed\":" << n_failed
-               << ",\"retried\":" << jt.retries->value()
-               << ",\"quarantined\":" << n_failed
-               << ",\"rehydrated\":" << c_rehydrated->value() << "}"
-               << ",\"ewma_job_ms\":" << std::uint64_t(ewma)
-               << ",\"eta_ms\":" << eta_ms
-               << ",\"workers\":" << workers.str();
-
-            os << ",\"backends\":{";
-            bool first = true;
-            for (std::size_t k = 0; k < kBackendKinds; ++k) {
-                const std::uint64_t jobs_k =
-                    backend_agg[k].jobs.load(std::memory_order_relaxed);
-                if (!jobs_k)
-                    continue;
-                const std::uint64_t insts =
-                    backend_agg[k].insts.load(std::memory_order_relaxed);
-                const std::uint64_t wall =
-                    backend_agg[k].wall_ms.load(
-                        std::memory_order_relaxed);
-                os << (first ? "" : ",") << "\""
-                   << backendKindName(static_cast<BackendKind>(k))
-                   << "\":{\"jobs\":" << jobs_k << ",\"insts\":" << insts
-                   << ",\"wall_ms\":" << wall << ",\"kips\":"
-                   << std::uint64_t(wall ? double(insts) / double(wall)
-                                         : 0.0)
-                   << "}";
-                first = false;
-            }
-            os << "}";
-
-            if (journal) {
-                os << ",\"journal\":{\"records\":" << journal->appended()
-                   << ",\"bytes\":" << journal->bytesWritten() << "}";
-            }
-
-            if (final) {
-                os << ",\"summary\":{\"slowest\":[";
-                const auto slow = wall_stats.slowest();
-                for (std::size_t s = 0; s < slow.size(); ++s) {
-                    os << (s ? "," : "") << "{\"job\":" << slow[s].job
-                       << ",\"config\":\"" << slow[s].config
-                       << "\",\"workload\":\"" << slow[s].workload
-                       << "\",\"wall_ms\":" << slow[s].wall_ms << "}";
-                }
-                os << "]}";
-            }
-            return os.str();
-        };
-    }
-
-    std::unique_ptr<obs::TelemetryThread> telem;
-    if (telem_on &&
-        (!topt.heartbeat_path.empty() || !topt.snapshot_path.empty())) {
-        obs::TelemetryConfig tcfg;
-        tcfg.heartbeat_path = topt.heartbeat_path;
-        tcfg.snapshot_path = topt.snapshot_path;
-        tcfg.interval_ms = topt.heartbeat_ms;
-        telem = std::make_unique<obs::TelemetryThread>(
-            *reg, tcfg, extra, &ResultSink::writeFileAtomic);
-    }
-
+    obs::SpanSink *const spans = opts.telemetry.spans;
     {
-        ThreadPool pool(opts.jobs, telem_on ? reg : nullptr);
+        ThreadPool pool(opts.jobs);
         for (std::size_t i = 0; i < jobs_.size(); ++i) {
             if (results[i].rehydrated)
                 continue;
-            const std::uint64_t submit_us =
-                jt.spans ? jt.spans->nowUs() : 0;
+            const std::uint64_t submit_us = spans ? spans->nowUs() : 0;
             pool.submit([this, i, &opts, &results, &done, &failed,
-                         live_progress, &journal, &jt, &worker_job,
-                         &accountTerminal, telem_on, submit_us,
-                         g_running] {
+                         live_progress, &journal, spans, submit_us] {
                 const int wi = ThreadPool::currentWorker();
                 const std::uint32_t worker =
                     wi < 0 ? 0 : std::uint32_t(wi);
-                if (jt.spans) {
+                if (spans) {
                     // Queue span: submit -> this worker picking it up.
-                    jt.spans->record({obs::SpanKind::Queue, worker,
-                                      std::uint64_t(i), 0, submit_us,
-                                      jt.spans->nowUs(),
-                                      jobs_[i].config_name + "/" +
-                                          jobs_[i].workload,
-                                      "queued"});
+                    spans->record({obs::SpanKind::Queue, worker,
+                                   std::uint64_t(i), 0, submit_us,
+                                   spans->nowUs(),
+                                   jobs_[i].config_name + "/" +
+                                       jobs_[i].workload,
+                                   "queued"});
                 }
-                if (telem_on && worker < worker_job.size())
-                    worker_job[worker].store(
-                        std::int64_t(i), std::memory_order_relaxed);
-                if (g_running)
-                    g_running->add(1);
 
                 // Slot i is exclusively ours: no synchronization needed
                 // beyond the pool's completion barrier.
                 const auto t0 = std::chrono::steady_clock::now();
-                results[i] = runJob(jobs_[i], i, opts, jt);
+                results[i] = runJob(jobs_[i], i, opts, spans);
                 results[i].wall_ms = std::uint64_t(
                     std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count());
 
-                if (g_running)
-                    g_running->add(-1);
-                if (telem_on && worker < worker_job.size())
-                    worker_job[worker].store(-1,
-                                             std::memory_order_relaxed);
-                if (jt.spans) {
-                    const std::uint64_t now = jt.spans->nowUs();
-                    jt.spans->record({obs::SpanKind::Terminal, worker,
-                                      std::uint64_t(i),
-                                      results[i].attempts - 1, now, now,
-                                      jobs_[i].config_name + "/" +
-                                          jobs_[i].workload,
-                                      jobStatusName(results[i].status)});
+                if (spans) {
+                    const std::uint64_t now = spans->nowUs();
+                    spans->record({obs::SpanKind::Terminal, worker,
+                                   std::uint64_t(i),
+                                   results[i].attempts - 1, now, now,
+                                   jobs_[i].config_name + "/" +
+                                       jobs_[i].workload,
+                                   jobStatusName(results[i].status)});
                 }
 
                 if (journal) {
@@ -606,7 +270,6 @@ Campaign::run(const CampaignOptions &opts) const
                 }
                 if (!results[i].ok())
                     failed.fetch_add(1, std::memory_order_relaxed);
-                accountTerminal(results[i]);
                 const std::size_t n =
                     done.fetch_add(1, std::memory_order_relaxed) + 1;
                 if (live_progress) {
@@ -622,12 +285,7 @@ Campaign::run(const CampaignOptions &opts) const
             });
         }
         pool.wait();
-        // The pool's destructor runs here, before the final heartbeat:
-        // its counters are settled when the "final":true record lands.
     }
-
-    if (telem)
-        telem->stop();
     return results;
 }
 

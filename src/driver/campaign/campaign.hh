@@ -44,7 +44,6 @@
 
 namespace slf::obs
 {
-class MetricsRegistry;
 class SpanSink;
 } // namespace slf::obs
 
@@ -116,9 +115,8 @@ struct JobResult
     bool rehydrated = false;
 
     /** Host wall-clock the job took, all attempts and backoff included
-     *  (journaled for the ETA EWMA and the wall-time histogram; never
-     *  rendered into the result JSON — host timing would break the
-     *  byte-identity contract). */
+     *  (journaled; never rendered into the result JSON — host timing
+     *  would break the byte-identity contract). */
     std::uint64_t wall_ms = 0;
 
     SimResult result;
@@ -155,33 +153,14 @@ struct CampaignOptions
     /** Borrowed test seams for journal fault injection; may be null. */
     const JournalHooks *journal_hooks = nullptr;
 
-    /**
-     * Live telemetry (see obs/telemetry.hh). Everything here is
-     * observation-only: enabling any of it leaves the campaign's
-     * results byte-identical (ctest-asserted), because nothing below
-     * feeds back into scheduling, seeding or results.
-     */
+    /** Runner-level span capture (see obs/telemetry.hh). Observation
+     *  only: capturing spans leaves the campaign's results
+     *  byte-identical (ctest-asserted). */
     struct TelemetryOptions
     {
-        /** Heartbeat JSONL path (appended); empty = no heartbeat. */
-        std::string heartbeat_path;
-        /** Heartbeat sampling interval. */
-        unsigned heartbeat_ms = 1000;
-        /** Prometheus snapshot path (atomic rewrite); empty = none. */
-        std::string snapshot_path;
         /** Borrowed span collector for queue/attempt/terminal spans;
          *  null = no span capture. */
         obs::SpanSink *spans = nullptr;
-        /** Borrowed registry to publish into (lets a caller aggregate
-         *  several runs, e.g. a screen campaign's two phases, into one
-         *  metric space); null = the run owns a private one. */
-        obs::MetricsRegistry *metrics = nullptr;
-
-        bool enabled() const
-        {
-            return !heartbeat_path.empty() || !snapshot_path.empty() ||
-                   spans || metrics;
-        }
     };
 
     TelemetryOptions telemetry;

@@ -734,8 +734,7 @@ JobJournal::load(const std::string &path,
         if (const Jv *f = rec.find("fault_seed"))
             jr.fault_seed = f->asU64();
         // Optional since the field was introduced: records from older
-        // journals simply rehydrate with wall_ms 0 (the ETA EWMA skips
-        // zero samples).
+        // journals simply rehydrate with wall_ms 0.
         if (const Jv *f = rec.find("wall_ms"))
             jr.wall_ms = f->asU64();
         jr.rehydrated = true;

@@ -134,7 +134,7 @@ class JobJournal
     std::size_t appended() const;
 
     /** Bytes durably written through this handle, header included
-     *  (telemetry: journal growth rate). */
+     *  (perfbench: journal bytes per job). */
     std::uint64_t bytesWritten() const;
 
     /**

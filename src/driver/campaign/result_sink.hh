@@ -7,7 +7,7 @@
  * thread counts or durations. Two runs of the same campaign therefore
  * produce byte-identical files regardless of --jobs — this is the
  * property the determinism ctest asserts. Wall-clock measurements
- * belong next to the file (BENCH_campaign.json), not inside it.
+ * belong outside it (perfbench's wall_s and job_ms metrics).
  *
  * Files are written atomically AND durably: content goes to
  * "<path>.tmp.<pid>" in the destination directory, is fsync'd, is

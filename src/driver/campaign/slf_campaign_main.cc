@@ -10,9 +10,7 @@
  *                [--job-timeout-ms N] [--expect-report FILE]
  *                [--no-progress] [--trace FILE] [--trace-text FILE]
  *                [--pipeview FILE] [--trace-job N]
- *                [--heartbeat FILE] [--heartbeat-ms N]
- *                [--metrics-snapshot FILE] [--campaign-trace FILE]
- *                [key=value ...]
+ *                [--campaign-trace FILE] [key=value ...]
  *
  * key=value arguments:
  *   scale=N bench=<name> wseed=S   workload selection (analog sweeps)
@@ -62,7 +60,9 @@
  * evaluated expectation.
  *
  * Exit codes: 0 = every job ok; 1 = campaign-level fatal (bad sweep,
- * unwritable output, journal/campaign mismatch); 2 = usage error;
+ * unwritable output, journal/campaign mismatch); 2 = usage error
+ * (including a numeric flag whose value is empty, carries trailing
+ * characters or does not fit the flag's type);
  * 3 = campaign completed but quarantined at least one job (partial
  * aggregates were still written — check the "failures" manifest);
  * 4 = all jobs ran but at least one micro-test expectation failed
@@ -77,43 +77,29 @@
  * seeds, so it replays exactly what the campaign measured without ever
  * sharing a sink across pool workers.
  *
- * Live telemetry (all observation-only: none of it changes the --out
- * JSON by a single byte — ctest-asserted):
- *   --heartbeat FILE        append one JSONL heartbeat record per
- *                           --heartbeat-ms interval (default 1000):
- *                           job counts, per-worker state, ETA from a
- *                           rolling per-job wall-time EWMA, per-backend
- *                           kips, journal growth, host RSS/CPU. The
- *                           file is appended (like the journal), each
- *                           record is a single write(2), and the final
- *                           record carries "final":true plus a summary
- *                           (slowest jobs). Tail it live with
- *                           scripts/campaign_watch.py.
- *   --metrics-snapshot FILE atomically rewrite FILE every beat as
- *                           Prometheus text exposition, so an external
- *                           poller can scrape a running campaign with
- *                           plain cat.
- *   --campaign-trace FILE   write the campaign's runner-level spans
- *                           (queue -> attempt(s) -> terminal, one
- *                           track per pool worker) as Chrome
- *                           trace_event JSON for Perfetto.
- * A screen sweep's two phases share one heartbeat file, snapshot,
- * metric space and span timeline (phase-2 job indices restart at 0;
- * spans stay distinguishable by their config/workload name).
+ * --campaign-trace FILE writes the campaign's runner-level spans
+ * (queue -> attempt(s) -> terminal, one track per pool worker) as
+ * Chrome trace_event JSON for Perfetto. Span capture is
+ * observation-only: it changes the --out JSON by not a single byte
+ * (ctest-asserted). A screen sweep's two phases share one span
+ * timeline (phase-2 job indices restart at 0; spans stay
+ * distinguishable by their config/workload name).
  *
  * The JSON written with --out is canonical: byte-identical for any
  * --jobs value (the determinism ctest relies on this). A summary table
  * and wall-clock time go to stdout/stderr instead.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
-
+#include <limits>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "campaign/result_sink.hh"
 #include "campaign/sweeps.hh"
@@ -142,13 +128,34 @@ usage(const char *argv0)
                  "[--retry-quarantined] [--job-timeout-ms N] "
                  "[--expect-report FILE] [--no-progress] "
                  "[--trace FILE] [--trace-text FILE] [--pipeview FILE] "
-                 "[--trace-job N] [--heartbeat FILE] [--heartbeat-ms N] "
-                 "[--metrics-snapshot FILE] [--campaign-trace FILE] "
+                 "[--trace-job N] [--campaign-trace FILE] "
                  "[key=value ...]\n  sweeps:",
                  argv0);
     for (const std::string &n : sweepNames())
         std::fprintf(stderr, " %s", n.c_str());
     std::fprintf(stderr, "\n");
+}
+
+/** Parse a numeric flag's value as a T. An empty value, trailing
+ *  characters ("4x") or a value outside T's range is a usage error:
+ *  print the flag and the value and exit 2. */
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &value)
+{
+    T v{};
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (value.empty() || ec != std::errc() || ptr != end) {
+        std::fprintf(stderr,
+                     "%s: invalid value '%s' (expected an integer in "
+                     "0..%llu)\n",
+                     flag, value.c_str(),
+                     static_cast<unsigned long long>(
+                         std::numeric_limits<T>::max()));
+        std::exit(2);
+    }
+    return v;
 }
 
 } // namespace
@@ -180,13 +187,15 @@ main(int argc, char **argv)
         if (arg == "--sweep") {
             sweep = next("--sweep");
         } else if (arg == "--jobs") {
-            copts.jobs = unsigned(std::stoul(next("--jobs")));
+            copts.jobs = parseNumber<unsigned>("--jobs", next("--jobs"));
         } else if (arg == "--out") {
             out_path = next("--out");
         } else if (arg == "--retries") {
-            copts.max_retries = unsigned(std::stoul(next("--retries")));
+            copts.max_retries =
+                parseNumber<unsigned>("--retries", next("--retries"));
         } else if (arg == "--seed") {
-            copts.root_seed = std::stoull(next("--seed"));
+            copts.root_seed =
+                parseNumber<std::uint64_t>("--seed", next("--seed"));
         } else if (arg == "--journal") {
             copts.journal_path = next("--journal");
         } else if (arg == "--resume") {
@@ -196,8 +205,8 @@ main(int argc, char **argv)
         } else if (arg == "--expect-report") {
             expect_report_path = next("--expect-report");
         } else if (arg == "--job-timeout-ms") {
-            copts.job_timeout_ms =
-                std::stoull(next("--job-timeout-ms"));
+            copts.job_timeout_ms = parseNumber<std::uint64_t>(
+                "--job-timeout-ms", next("--job-timeout-ms"));
         } else if (arg == "--no-progress") {
             copts.progress = false;
         } else if (arg == "--trace") {
@@ -207,14 +216,8 @@ main(int argc, char **argv)
         } else if (arg == "--pipeview") {
             pipeview_path = next("--pipeview");
         } else if (arg == "--trace-job") {
-            trace_job = std::stoul(next("--trace-job"));
-        } else if (arg == "--heartbeat") {
-            copts.telemetry.heartbeat_path = next("--heartbeat");
-        } else if (arg == "--heartbeat-ms") {
-            copts.telemetry.heartbeat_ms =
-                unsigned(std::stoul(next("--heartbeat-ms")));
-        } else if (arg == "--metrics-snapshot") {
-            copts.telemetry.snapshot_path = next("--metrics-snapshot");
+            trace_job =
+                parseNumber<std::size_t>("--trace-job", next("--trace-job"));
         } else if (arg == "--campaign-trace") {
             campaign_trace_path = next("--campaign-trace");
         } else if (arg == "--help" || arg == "-h") {
@@ -263,16 +266,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "campaign '%s': %zu jobs, %u workers\n",
                      c.name().c_str(), c.jobCount(), copts.jobs);
 
-        // One span timeline and one metric space for the whole
-        // invocation: a screen sweep's two phases share them (and the
-        // heartbeat file — TelemetryThread appends), so the trace shows
-        // the full screen-then-rerun schedule on one clock.
+        // One span timeline for the whole invocation: a screen sweep's
+        // two phases share it, so the trace shows the full
+        // screen-then-rerun schedule on one clock.
         obs::SpanSink span_sink;
-        obs::MetricsRegistry metrics;
         if (!campaign_trace_path.empty())
             copts.telemetry.spans = &span_sink;
-        if (copts.telemetry.enabled())
-            copts.telemetry.metrics = &metrics;
 
         const auto t0 = std::chrono::steady_clock::now();
         std::vector<JobResult> results = c.run(copts);

@@ -11,22 +11,10 @@ namespace
 thread_local int tls_worker = -1;
 } // namespace
 
-ThreadPool::ThreadPool(unsigned threads, obs::MetricsRegistry *metrics)
+ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = 1;
-    if (metrics) {
-        queue_gauge_ = &metrics->gauge(
-            "slfwd_pool_queue_depth", "Tasks waiting in worker deques.");
-        steal_counter_ = &metrics->counter(
-            "slfwd_pool_steals_total",
-            "Tasks executed from a victim worker's deque.");
-        task_counter_ = &metrics->counter(
-            "slfwd_pool_tasks_total", "Tasks executed by the pool.");
-        idle_counter_ = &metrics->counter(
-            "slfwd_pool_idle_waits_total",
-            "Times a worker slept for lack of work.");
-    }
     queues_.resize(threads);
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
@@ -54,8 +42,6 @@ ThreadPool::submit(std::function<void()> task)
         queues_[next_queue_].push_back(std::move(task));
         next_queue_ = (next_queue_ + 1) % queues_.size();
         ++queued_;
-        if (queue_gauge_)
-            queue_gauge_->add(1);
     }
     work_cv_.notify_one();
     return true;
@@ -69,8 +55,6 @@ ThreadPool::takeTask(unsigned self, std::function<void()> &task)
         task = std::move(queues_[self].back());
         queues_[self].pop_back();
         --queued_;
-        if (queue_gauge_)
-            queue_gauge_->add(-1);
         return true;
     }
     // ...then steal the oldest entry (FIFO) from the next busy victim.
@@ -81,10 +65,6 @@ ThreadPool::takeTask(unsigned self, std::function<void()> &task)
             victim.pop_front();
             --queued_;
             ++steals_;
-            if (queue_gauge_)
-                queue_gauge_->add(-1);
-            if (steal_counter_)
-                steal_counter_->add(1);
             return true;
         }
     }
@@ -102,8 +82,6 @@ ThreadPool::workerLoop(unsigned self)
             ++running_;
             lock.unlock();
             task();
-            if (task_counter_)
-                task_counter_->add(1);
             lock.lock();
             --running_;
             if (queued_ == 0 && running_ == 0)
@@ -112,9 +90,6 @@ ThreadPool::workerLoop(unsigned self)
         }
         if (stop_)
             return;
-        ++idle_waits_;
-        if (idle_counter_)
-            idle_counter_->add(1);
         work_cv_.wait(lock, [this] { return queued_ > 0 || stop_; });
     }
 }
@@ -149,13 +124,6 @@ ThreadPool::steals() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return steals_;
-}
-
-std::uint64_t
-ThreadPool::idleWaits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return idle_waits_;
 }
 
 } // namespace slf::campaign

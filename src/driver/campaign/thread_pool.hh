@@ -27,23 +27,14 @@
 #include <thread>
 #include <vector>
 
-#include "obs/telemetry.hh"
-
 namespace slf::campaign
 {
 
 class ThreadPool
 {
   public:
-    /**
-     * @param threads worker count; 0 is clamped to 1.
-     * @param metrics optional registry the pool mirrors its counters
-     *        into (slfwd_pool_queue_depth gauge, slfwd_pool_steals_total,
-     *        slfwd_pool_tasks_total, slfwd_pool_idle_waits_total); the
-     *        registry must outlive the pool.
-     */
-    explicit ThreadPool(unsigned threads,
-                        obs::MetricsRegistry *metrics = nullptr);
+    /** @param threads worker count; 0 is clamped to 1. */
+    explicit ThreadPool(unsigned threads);
 
     /** Drains every queued task, then joins the workers. */
     ~ThreadPool();
@@ -74,13 +65,10 @@ class ThreadPool
     /** Tasks executed from a victim's deque (observability). */
     std::uint64_t steals() const;
 
-    /** Times a worker went to sleep for lack of work (observability). */
-    std::uint64_t idleWaits() const;
-
     /**
      * Index of the pool worker running the calling thread, or -1 when
-     * the caller is not a pool worker. Lets task bodies tag telemetry
-     * (one span track per worker) without threading an id through every
+     * the caller is not a pool worker. Lets task bodies tag spans
+     * (one track per worker) without threading an id through every
      * task closure.
      */
     static int currentWorker();
@@ -102,15 +90,8 @@ class ThreadPool
     std::uint64_t queued_ = 0;      ///< tasks sitting in deques
     std::uint64_t running_ = 0;     ///< tasks currently executing
     std::uint64_t steals_ = 0;
-    std::uint64_t idle_waits_ = 0;
     bool accepting_ = true;
     bool stop_ = false;
-
-    // Metric mirrors, resolved once in the ctor (null when no registry).
-    obs::Gauge *queue_gauge_ = nullptr;
-    obs::Counter *steal_counter_ = nullptr;
-    obs::Counter *task_counter_ = nullptr;
-    obs::Counter *idle_counter_ = nullptr;
 };
 
 } // namespace slf::campaign

@@ -1,214 +1,33 @@
 /**
  * @file
- * Live campaign telemetry: a thread-safe metrics registry, a background
- * heartbeat thread, and runner-level span capture.
+ * Runner-level span capture for the campaign runner.
  *
- * This is the observability layer for the *campaign runner* — the
- * long-running, many-job orchestration process — complementing the
- * per-simulation layer (stat_table / trace_sink / occupancy), which
- * observes a single core for one run. Everything here is strictly
- * read-only with respect to simulation state: telemetry on or off, the
+ * This observes the *campaign*, the many-job orchestration process,
+ * complementing the per-simulation layer (stat_table / trace_sink /
+ * occupancy), which observes a single core for one run. It is strictly
+ * read-only with respect to simulation state: spans on or off, the
  * campaign's result JSON is byte-identical (ctest-asserted), because
- * nothing in this file ever feeds back into job scheduling, seeding or
+ * nothing here ever feeds back into job scheduling, seeding or
  * results.
  *
- * Three pieces:
- *
- *  - MetricsRegistry: named Counter (monotonic), Gauge (set/add) and
- *    Histogram (bounded buckets) metrics. Registration is mutex-
- *    guarded and idempotent; the returned references are stable for
- *    the registry's lifetime, and updates on them are lock-free
- *    relaxed atomics — cheap enough for the campaign hot path.
- *    Series names follow Prometheus conventions and may carry a label
- *    set inline: `slfwd_backend_insts_total{backend="timing"}`.
- *    Rendering is sorted by series name, so both exposition formats
- *    are deterministic for a given set of values.
- *
- *  - TelemetryThread: samples the registry every `interval_ms` and
- *    (a) appends one JSONL heartbeat record per sample to a file —
- *    each record is a single write(2) to an O_APPEND descriptor, so a
- *    SIGKILL between beats never tears a line and a reader always
- *    finds a valid parseable tail — and (b) atomically rewrites a
- *    Prometheus text-exposition snapshot through a caller-supplied
- *    writer (the campaign passes ResultSink::writeFileAtomic), so an
- *    external poller can scrape a running campaign with plain `cat`.
- *    A record is emitted immediately on start (seq 0) and a final
- *    record ("final":true) on stop, so even a campaign shorter than
- *    one interval leaves a useful heartbeat file.
- *
- *  - SpanSink: wall-clock span records for campaign jobs —
- *    queue -> attempt(s) -> terminal, with retry/timeout edges — that
- *    toChromeCampaignTrace() (chrome_trace.hh) renders as Chrome
- *    trace_event JSON, one track per pool worker, so a whole
- *    campaign's schedule renders in Perfetto alongside the PR-3
- *    per-cycle traces.
+ * SpanSink collects wall-clock span records for campaign jobs —
+ * queue -> attempt(s) -> terminal, with retry/timeout edges — that
+ * toChromeCampaignTrace() (chrome_trace.hh) renders as Chrome
+ * trace_event JSON, one track per pool worker, so a whole campaign's
+ * schedule renders in Perfetto alongside the per-cycle traces.
  */
 
 #ifndef SLFWD_OBS_TELEMETRY_HH_
 #define SLFWD_OBS_TELEMETRY_HH_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace slf::obs
 {
-
-/** Monotonic counter (Prometheus "counter"). */
-class Counter
-{
-  public:
-    void add(std::uint64_t n = 1)
-    {
-        v_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    std::uint64_t value() const
-    {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> v_{0};
-};
-
-/** Point-in-time signed value (Prometheus "gauge"). */
-class Gauge
-{
-  public:
-    void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-
-    void add(std::int64_t d)
-    {
-        v_.fetch_add(d, std::memory_order_relaxed);
-    }
-
-    std::int64_t value() const
-    {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::int64_t> v_{0};
-};
-
-/**
- * Bounded histogram: a fixed set of upper bounds chosen at
- * registration plus an implicit +Inf bucket. observe() is lock-free;
- * readers see a consistent-enough view for telemetry (relaxed loads —
- * a heartbeat racing an observe can be off by one sample, never
- * corrupt).
- */
-class Histogram
-{
-  public:
-    /** @param bounds ascending bucket upper bounds (<=). */
-    explicit Histogram(std::vector<double> bounds);
-
-    void observe(double v);
-
-    std::uint64_t count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    double sum() const;
-    const std::vector<double> &bounds() const { return bounds_; }
-
-    /** Raw (non-cumulative) count of bucket @p i; index bounds_.size()
-     *  is the +Inf bucket. */
-    std::uint64_t bucketCount(std::size_t i) const
-    {
-        return buckets_[i].load(std::memory_order_relaxed);
-    }
-
-    /** The default wall-time bucket ladder (ms): 1..60000, log-spaced. */
-    static const std::vector<double> &defaultTimeBoundsMs();
-
-  private:
-    std::vector<double> bounds_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
-};
-
-/**
- * Named metric registry. counter()/gauge()/histogram() register on
- * first use and return the existing metric on every later call with
- * the same name; registering one name as two different kinds is a
- * fatal() (a bug, not a runtime condition).
- */
-class MetricsRegistry
-{
-  public:
-    MetricsRegistry() = default;
-    MetricsRegistry(const MetricsRegistry &) = delete;
-    MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    Counter &counter(const std::string &name,
-                     const std::string &help = "");
-    Gauge &gauge(const std::string &name, const std::string &help = "");
-    Histogram &histogram(const std::string &name,
-                         std::vector<double> bounds,
-                         const std::string &help = "");
-
-    /**
-     * Prometheus text exposition (version 0.0.4): `# HELP` / `# TYPE`
-     * lines once per metric family, samples sorted by series name,
-     * histograms expanded into cumulative `_bucket{le=...}` series
-     * plus `_sum` and `_count`. Deterministic for fixed values — the
-     * golden test pins the layout.
-     */
-    std::string toPrometheusText() const;
-
-    /**
-     * Flat JSON object of every series (single line, sorted):
-     * counters/gauges as numbers, histograms as
-     * {"count":N,"sum":S,"buckets":[[le,cumulative],...]}. This is the
-     * "metrics" section of each heartbeat record.
-     */
-    std::string toJson() const;
-
-    /** Registered series count (tests). */
-    std::size_t size() const;
-
-  private:
-    struct Entry
-    {
-        // Exactly one is set; kind is implied by which.
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
-        std::string help;
-    };
-
-    mutable std::mutex mutex_;
-    std::map<std::string, Entry> entries_;  ///< sorted -> deterministic
-};
-
-/** Host health snapshot from /proc/self/{statm,stat}; all zeros when
- *  the files are unreadable (non-Linux hosts degrade gracefully). */
-struct HostStats
-{
-    std::uint64_t rss_kb = 0;    ///< resident set size
-    std::uint64_t utime_ms = 0;  ///< user CPU time, whole process
-    std::uint64_t stime_ms = 0;  ///< system CPU time, whole process
-    std::uint64_t threads = 0;   ///< thread count
-};
-
-HostStats readHostStats();
-
-// ---------------------------------------------------------------------
-// Runner-level spans
-// ---------------------------------------------------------------------
 
 enum class SpanKind : std::uint8_t
 {
@@ -262,71 +81,6 @@ class SpanSink
     std::chrono::steady_clock::time_point start_;
     mutable std::mutex mutex_;
     std::vector<CampaignSpan> spans_;
-};
-
-// ---------------------------------------------------------------------
-// TelemetryThread
-// ---------------------------------------------------------------------
-
-struct TelemetryConfig
-{
-    /** Heartbeat JSONL path (appended); empty = no heartbeat file. */
-    std::string heartbeat_path;
-    /** Prometheus snapshot path (atomic rewrite); empty = none. */
-    std::string snapshot_path;
-    /** Sampling interval; clamped to >= 1. */
-    unsigned interval_ms = 1000;
-};
-
-class TelemetryThread
-{
-  public:
-    /** Renders extra heartbeat fields (a JSON fragment like
-     *  `"jobs":{...},"eta_ms":12` — no leading/trailing comma) spliced
-     *  into every record; @p final is true for the stop() record. */
-    using ExtraFn = std::function<std::string(bool final)>;
-    /** Atomic file writer (path, content); the campaign layer passes
-     *  ResultSink::writeFileAtomic. Null = snapshots disabled. */
-    using WriteFileFn =
-        std::function<void(const std::string &, const std::string &)>;
-
-    TelemetryThread(MetricsRegistry &registry, TelemetryConfig cfg,
-                    ExtraFn extra = nullptr,
-                    WriteFileFn write_file = nullptr);
-    ~TelemetryThread();
-
-    TelemetryThread(const TelemetryThread &) = delete;
-    TelemetryThread &operator=(const TelemetryThread &) = delete;
-
-    /** Emit the final record + snapshot and join. Idempotent. */
-    void stop();
-
-    /** Heartbeat records emitted so far (including the final one). */
-    std::uint64_t beats() const
-    {
-        return beats_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void loop();
-    void emitOnce(bool final);
-
-    MetricsRegistry &registry_;
-    TelemetryConfig cfg_;
-    ExtraFn extra_;
-    WriteFileFn write_file_;
-
-    std::chrono::steady_clock::time_point start_;
-    std::atomic<std::uint64_t> beats_{0};
-    std::uint64_t seq_ = 0;           ///< loop-thread only
-    bool warned_snapshot_ = false;    ///< loop-thread only
-    int fd_ = -1;                     ///< O_APPEND heartbeat fd
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool stop_requested_ = false;
-    bool stopped_ = false;
-    std::thread thread_;
 };
 
 } // namespace slf::obs

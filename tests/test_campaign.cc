@@ -121,6 +121,25 @@ TEST(ThreadPool, StealsWorkFromBusyQueues)
     EXPECT_GT(pool.steals(), 0u);
 }
 
+TEST(ThreadPool, CurrentWorkerNamesThePoolThread)
+{
+    ThreadPool pool(3);
+    EXPECT_EQ(ThreadPool::currentWorker(), -1);  // off-pool thread
+    std::atomic<int> count{0};
+    std::atomic<bool> saw_worker_id{true};
+    for (int i = 0; i < 100; ++i) {
+        pool.submit([&] {
+            const int w = ThreadPool::currentWorker();
+            if (w < 0 || w >= 3)
+                saw_worker_id = false;
+            ++count;
+        });
+    }
+    pool.wait();
+    EXPECT_EQ(count.load(), 100);
+    EXPECT_TRUE(saw_worker_id.load());
+}
+
 // ---------------------------------------------------------------------
 // Campaign determinism and retries
 // ---------------------------------------------------------------------
