@@ -55,6 +55,8 @@ struct MdtParams
      * completing store.
      */
     bool optimized_true_recovery = false;
+
+    bool operator==(const MdtParams &) const = default;
 };
 
 /** Outcome of one MDT access. */

@@ -57,6 +57,8 @@ struct SfcParams
     bool use_flush_endpoints = false;
     /** Flush ranges tracked; overflow merges ranges (conservative). */
     unsigned max_flush_ranges = 8;
+
+    bool operator==(const SfcParams &) const = default;
 };
 
 /** Bytes of data per SFC entry (fixed by the paper). */

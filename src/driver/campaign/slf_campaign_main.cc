@@ -3,8 +3,7 @@
  * slf_campaign: parallel experiment orchestrator CLI.
  *
  * Usage:
- *   slf_campaign --sweep fig5|lsq_size|assoc|fault|micro|screen
- *                [--jobs N]
+ *   slf_campaign --sweep <name> [--jobs N]
  *                [--out results/fig5.json] [--retries N] [--seed S]
  *                [--journal FILE] [--resume] [--retry-quarantined]
  *                [--job-timeout-ms N] [--expect-report FILE]
@@ -12,8 +11,19 @@
  *                [--pipeview FILE] [--trace-job N]
  *                [--campaign-trace FILE] [key=value ...]
  *
+ * `--help` lists the registered sweeps (campaign/sweeps.hh): the
+ * paper's tables (fig5, fig6, violation_rates, assoc, corruption,
+ * granularity, lsq_size, activity, enforcement, recovery, energy,
+ * flush_endpoints, value_replay), `paper` (all of them from one run,
+ * each distinct simulation once), fault, micro and screen. --jobs
+ * defaults to the host's hardware concurrency.
+ *
  * key=value arguments:
- *   scale=N bench=<name> wseed=S   workload selection (analog sweeps)
+ *   scale=N bench=<name> wseed=S   workload selection (analog sweeps;
+ *                                  granularity always runs its five
+ *                                  analogs, and assoc, recovery and
+ *                                  flush_endpoints run their focus
+ *                                  analogs unless bench= is given)
  *   iters=N fault_rate=R           fault-sweep shape
  *   corpus=DIR                     micro-sweep .s directory
  *                                  (default tests/micro)
@@ -62,7 +72,8 @@
  * Exit codes: 0 = every job ok; 1 = campaign-level fatal (bad sweep,
  * unwritable output, journal/campaign mismatch); 2 = usage error
  * (including a numeric flag whose value is empty, carries trailing
- * characters or does not fit the flag's type);
+ * characters or does not fit the flag's type, and a --trace-job index
+ * outside the sweep, checked before any job runs);
  * 3 = campaign completed but quarantined at least one job (partial
  * aggregates were still written — check the "failures" manifest);
  * 4 = all jobs ran but at least one micro-test expectation failed
@@ -86,8 +97,14 @@
  * distinguishable by their config/workload name).
  *
  * The JSON written with --out is canonical: byte-identical for any
- * --jobs value (the determinism ctest relies on this). A summary table
- * and wall-clock time go to stdout/stderr instead.
+ * --jobs value (the determinism ctest relies on this).
+ *
+ * stdout carries only the sweep's table (the paper's tables for
+ * `paper`), printed once every job is ok; it is a pure function of the
+ * results, so it too is byte-identical for any --jobs value, and
+ * `--journal F --resume` re-prints it without re-simulating. Every
+ * status line (job counts, wall-clock time, files written, micro
+ * expectation totals) goes to stderr.
  */
 
 #include <charconv>
@@ -99,6 +116,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/result_sink.hh"
@@ -172,6 +190,7 @@ main(int argc, char **argv)
     std::string campaign_trace_path;
     std::size_t trace_job = 0;
     CampaignOptions copts;
+    copts.jobs = std::thread::hardware_concurrency();
     SweepOptions sopts;
     Config kv;
 
@@ -235,6 +254,12 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
+    // The pool runs at least one worker; report and trace what it runs.
+    if (copts.jobs == 0)
+        copts.jobs = 1;
+    const bool trace_requested = !trace_path.empty() ||
+                                 !trace_text_path.empty() ||
+                                 !pipeview_path.empty();
 
     try {
         sopts.scale = kv.getUInt("scale", sopts.scale);
@@ -263,6 +288,13 @@ main(int argc, char **argv)
         }
 
         const Campaign c = makeSweep(sweep, sopts);
+        if (trace_requested && trace_job >= c.jobCount()) {
+            std::fprintf(stderr,
+                         "--trace-job %zu out of range (campaign '%s' has "
+                         "%zu jobs)\n",
+                         trace_job, c.name().c_str(), c.jobCount());
+            return 2;
+        }
         std::fprintf(stderr, "campaign '%s': %zu jobs, %u workers\n",
                      c.name().c_str(), c.jobCount(), copts.jobs);
 
@@ -325,28 +357,33 @@ main(int argc, char **argv)
             if (jr.attempts > 1)
                 ++retried;
         }
-        std::printf("%s: %zu ok, %zu fatal, %zu timeout, %zu retried, "
-                    "%.2fs wall-clock\n",
-                    c.name().c_str(), ok, fatal_jobs, timeout_jobs,
-                    retried, secs);
+        std::fprintf(stderr,
+                     "%s: %zu ok, %zu fatal, %zu timeout, %zu retried, "
+                     "%.2fs wall-clock\n",
+                     c.name().c_str(), ok, fatal_jobs, timeout_jobs,
+                     retried, secs);
 
         const std::string json = ResultSink::toJson(
             c.name(), copts.root_seed, results,
             is_screen ? &screen_info : nullptr);
         if (!out_path.empty()) {
             ResultSink::writeFileAtomic(out_path, json);
-            std::printf("wrote %s (%zu bytes)\n", out_path.c_str(),
-                        json.size());
+            std::fprintf(stderr, "wrote %s (%zu bytes)\n",
+                         out_path.c_str(), json.size());
         }
 
+        // A table cell must never read a quarantined job's empty
+        // result: with any job failed, exit 3 stands in for the table.
+        if (ok == results.size())
+            std::fputs(renderSweep(sweep, sopts, results).c_str(), stdout);
+
         if (!campaign_trace_path.empty()) {
-            const std::string tj = obs::toChromeCampaignTrace(
-                span_sink, c.name(),
-                copts.jobs == 0 ? 1 : copts.jobs);
+            const std::string tj =
+                obs::toChromeCampaignTrace(span_sink, c.name(), copts.jobs);
             ResultSink::writeFileAtomic(campaign_trace_path, tj);
-            std::printf("wrote %s (%zu spans, %zu bytes)\n",
-                        campaign_trace_path.c_str(), span_sink.size(),
-                        tj.size());
+            std::fprintf(stderr, "wrote %s (%zu spans, %zu bytes)\n",
+                         campaign_trace_path.c_str(), span_sink.size(),
+                         tj.size());
         }
 
         // Micro sweep: evaluate every test's expectation block against
@@ -416,22 +453,18 @@ main(int argc, char **argv)
             rep << "\n  ],\n  \"total_expectations\": " << expect_total
                 << ",\n  \"total_failed\": " << expect_failed << "\n}\n";
 
-            std::printf("micro expectations: %zu checked, %zu failed\n",
-                        expect_total, expect_failed);
+            std::fprintf(stderr,
+                         "micro expectations: %zu checked, %zu failed\n",
+                         expect_total, expect_failed);
             if (!expect_report_path.empty()) {
                 const std::string r = rep.str();
                 ResultSink::writeFileAtomic(expect_report_path, r);
-                std::printf("wrote %s (%zu bytes)\n",
-                            expect_report_path.c_str(), r.size());
+                std::fprintf(stderr, "wrote %s (%zu bytes)\n",
+                             expect_report_path.c_str(), r.size());
             }
         }
 
-        if (!trace_path.empty() || !trace_text_path.empty() ||
-            !pipeview_path.empty()) {
-            if (trace_job >= c.jobCount())
-                fatal("--trace-job " + std::to_string(trace_job) +
-                      " out of range (campaign has " +
-                      std::to_string(c.jobCount()) + " jobs)");
+        if (trace_requested) {
             const JobSpec &spec = c.jobs()[trace_job];
 
             obs::TraceSink sink;
@@ -463,14 +496,14 @@ main(int argc, char **argv)
                 const std::string tj = obs::toChromeTraceJson(
                     sink, spec.config_name + "/" + spec.workload);
                 ResultSink::writeFileAtomic(trace_path, tj);
-                std::printf("wrote %s (%zu bytes)\n", trace_path.c_str(),
-                            tj.size());
+                std::fprintf(stderr, "wrote %s (%zu bytes)\n",
+                             trace_path.c_str(), tj.size());
             }
             if (!trace_text_path.empty()) {
                 const std::string tt = obs::toTextTimeline(sink);
                 ResultSink::writeFileAtomic(trace_text_path, tt);
-                std::printf("wrote %s (%zu bytes)\n",
-                            trace_text_path.c_str(), tt.size());
+                std::fprintf(stderr, "wrote %s (%zu bytes)\n",
+                             trace_text_path.c_str(), tt.size());
             }
             if (!pipeview_path.empty()) {
                 std::fprintf(stderr,
@@ -485,8 +518,8 @@ main(int argc, char **argv)
                                  lifetimes.dropped()));
                 const std::string kon = obs::toKonata(lifetimes);
                 ResultSink::writeFileAtomic(pipeview_path, kon);
-                std::printf("wrote %s (%zu bytes)\n",
-                            pipeview_path.c_str(), kon.size());
+                std::fprintf(stderr, "wrote %s (%zu bytes)\n",
+                             pipeview_path.c_str(), kon.size());
             }
         }
         // 3 = graceful degradation: the campaign finished and wrote

@@ -38,6 +38,8 @@ struct LsqParams
 {
     std::size_t lq_entries = 48;
     std::size_t sq_entries = 32;
+
+    bool operator==(const LsqParams &) const = default;
 };
 
 /** Outcome of a load execution. */

@@ -33,6 +33,8 @@ struct CacheGeometry
     {
         return size_bytes / (std::uint64_t{assoc} * line_bytes);
     }
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 /**

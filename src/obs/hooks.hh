@@ -29,6 +29,8 @@ struct ObsHooks
     LifetimeSink *lifetime = nullptr;
     /** Sample per-structure occupancy into SimResult every cycle. */
     bool sample_occupancy = false;
+
+    bool operator==(const ObsHooks &) const = default;
 };
 
 } // namespace slf::obs

@@ -82,6 +82,8 @@ struct MemDepParams
     std::uint64_t lfpt_entries = 512;
     std::uint64_t num_tags = 2048;            ///< dependence tag pool
     MemDepMode mode = MemDepMode::EnforceAll;
+
+    bool operator==(const MemDepParams &) const = default;
 };
 
 class MemDepPredictor

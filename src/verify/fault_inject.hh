@@ -62,6 +62,8 @@ struct FaultInjectParams
         return sfc_mask_rate > 0.0 || sfc_data_rate > 0.0 ||
                mdt_evict_rate > 0.0 || fifo_payload_rate > 0.0;
     }
+
+    bool operator==(const FaultInjectParams &) const = default;
 };
 
 class FaultInjector

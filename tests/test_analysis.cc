@@ -160,14 +160,18 @@ TEST(BlameSet, RecordsAndMerges)
 TEST(CpiIdentity, HoldsExactlyForEverySweepConfig)
 {
     for (const std::string &sweep : campaign::sweepNames()) {
+        // paper runs exactly the points of the table sweeps below.
+        if (sweep == "paper")
+            continue;
         campaign::SweepOptions sopts;
         sopts.scale = 1;
         sopts.fault_iters = 500;
         // The micro sweep reads its corpus from the source tree.
         sopts.corpus_dir = SLF_TEST_MICRO_DIR;
-        // One analog keeps the analog sweeps fast; the assoc and fault
-        // sweeps have their own fixed workload lists.
-        if (sweep == "fig5" || sweep == "lsq_size")
+        // One analog keeps the analog sweeps fast; the assoc, fault,
+        // micro and screen sweeps run their own full workload lists.
+        if (sweep != "assoc" && sweep != "fault" && sweep != "micro" &&
+            sweep != "screen")
             sopts.bench_filter = "gzip";
 
         const campaign::Campaign c = campaign::makeSweep(sweep, sopts);

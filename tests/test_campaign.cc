@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -587,7 +588,7 @@ TEST(Sweeps, ExpandExpectedJobCounts)
     EXPECT_EQ(makeAssocCampaign(so).jobCount(), 2u);
     EXPECT_EQ(makeFaultCampaign(so).jobCount(), 20u);
     EXPECT_THROW(makeSweep("nope", so), FatalError);
-    EXPECT_EQ(sweepNames().size(), 6u);
+    EXPECT_EQ(sweepNames().size(), 17u);
 
     // The screen sweep mirrors the fig5 point set on the screening
     // backend; its phase-2 campaign holds exactly the selected subset.
@@ -609,6 +610,40 @@ TEST(Sweeps, ExpandExpectedJobCounts)
     // A filter matching nothing is a usage error, not an empty sweep.
     mo.bench_filter = "no_such_test";
     EXPECT_THROW(makeMicroCampaign(mo), FatalError);
+}
+
+TEST(Sweeps, PaperRunsEachDistinctTablePointOnce)
+{
+    SweepOptions so;
+    so.bench_filter = "bzip2";
+    const Campaign paper = makeSweep("paper", so);
+    auto same = [](const JobSpec &a, const JobSpec &b) {
+        return a.workload == b.workload && a.cfg == b.cfg &&
+               a.backend == b.backend;
+    };
+    for (std::size_t i = 0; i < paper.jobCount(); ++i)
+        for (std::size_t j = i + 1; j < paper.jobCount(); ++j)
+            EXPECT_FALSE(same(paper.jobs()[i], paper.jobs()[j]))
+                << "paper jobs " << i << " and " << j;
+
+    // The tables come first in the registry, then paper itself.
+    std::size_t cells = 0;
+    for (const std::string &name : sweepNames()) {
+        if (name == "paper")
+            break;
+        const Campaign table = makeSweep(name, so);
+        for (const JobSpec &spec : table.jobs()) {
+            ++cells;
+            EXPECT_TRUE(std::any_of(
+                paper.jobs().begin(), paper.jobs().end(),
+                [&](const JobSpec &p) { return same(p, spec); }))
+                << name << " " << spec.config_name << "/"
+                << spec.workload;
+        }
+    }
+    // fig5's enf point alone recurs in activity, granularity (gran8),
+    // energy and value_replay.
+    EXPECT_LT(paper.jobCount(), cells);
 }
 
 TEST(Sweeps, FaultSweepRunsDeterministicallyAcrossThreadCounts)
