@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
+#include "cpu/core_config.hh"
 
 using namespace slf;
 

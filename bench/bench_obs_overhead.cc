@@ -30,8 +30,11 @@
 
 #include "bench_util.hh"
 #include "campaign/result_sink.hh"
+#include "cpu/config_preset.hh"
+#include "driver/runner.hh"
 #include "obs/profile.hh"
 #include "obs/trace_sink.hh"
+#include "workloads/workloads.hh"
 
 using namespace slf;
 using namespace slf::bench;
