@@ -130,7 +130,7 @@ MdtSfcUnit::issueLoad(DynInst &inst, bool at_rob_head)
 {
     MemIssueOutcome out;
 
-    if (at_rob_head && cfg_.head_bypass) {
+    if (at_rob_head) {
         // All older stores have retired: the cache hierarchy is
         // authoritative, so skip the SFC and MDT entirely.
         ++head_bypasses_;
@@ -224,7 +224,7 @@ MdtSfcUnit::issueStore(DynInst &inst, bool at_rob_head)
                  inst.seq, inst.pc, inst.addr, mdt.producer_pc,
                  mdtCheckDetail(mdt));
     if (mdt.status == MdtAccess::Status::Conflict) {
-        if (at_rob_head && cfg_.head_bypass) {
+        if (at_rob_head) {
             // Head bypass (Section 2.2). Skipping the MDT here is sound:
             // a conflict means no entry exists for the block, and any
             // younger completed load to the block would have allocated
@@ -249,7 +249,7 @@ MdtSfcUnit::issueStore(DynInst &inst, bool at_rob_head)
                      ? obs::SfcProbeDetail::StoreConflict
                      : obs::SfcProbeDetail::StoreAccept);
     if (sres == SfcStoreResult::Conflict) {
-        if (at_rob_head && cfg_.head_bypass) {
+        if (at_rob_head) {
             // The MDT check above already ran (catching any younger
             // completed load), so retiring straight from the FIFO and
             // committing to the cache is safe.

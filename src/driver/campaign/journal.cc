@@ -589,7 +589,6 @@ JobJournal::specDigest(const JobSpec &spec, std::size_t job_index,
     f.u64(c.validate ? 1 : 0);
     f.u64(c.stall_bits ? 1 : 0);
     f.u64(c.partial_match_merges ? 1 : 0);
-    f.u64(c.head_bypass ? 1 : 0);
     f.d(c.oracle_fix_prob);
     f.d(c.fault.sfc_mask_rate);
     f.d(c.fault.sfc_data_rate);

@@ -72,7 +72,6 @@ knownOverrideKeys()
             "fault.sfc_data",
             "fault.sfc_mask",
             "fus",
-            "head_bypass",
             "lsq.lq",
             "lsq.sq",
             "max_cycles",
@@ -197,7 +196,6 @@ applyOverrides(CoreConfig &cfg, const Config &ov)
     cfg.stall_bits = ov.getBool("stall_bits", cfg.stall_bits);
     cfg.partial_match_merges =
         ov.getBool("partial_match_merges", cfg.partial_match_merges);
-    cfg.head_bypass = ov.getBool("head_bypass", cfg.head_bypass);
     cfg.output_dep_marks_corrupt = ov.getBool(
         "output_dep_marks_corrupt", cfg.output_dep_marks_corrupt);
     cfg.value_replay_filtered =

@@ -30,7 +30,7 @@ SimResult runWorkload(const CoreConfig &cfg, const Program &prog);
  * sfc.flush_endpoints, sfc.max_flush_ranges,
  * mdt.sets, mdt.assoc, mdt.granularity, lsq.lq, lsq.sq,
  * memdep.mode (lsq|true|all|total), max_insts, seed, validate,
- * oracle_fix_prob, stall_bits, partial_match_merges, head_bypass,
+ * oracle_fix_prob, stall_bits, partial_match_merges,
  * output_dep_marks_corrupt, optimized_true_recovery, check.abort,
  * watchdog.retire_cycles, watchdog.max_cycles, fault.sfc_mask,
  * fault.sfc_data, fault.mdt_evict, fault.fifo_payload, fault.seed.
