@@ -2,7 +2,7 @@
 # Perf smoke, two gates:
 #
 #  1. Observability overhead: assert that the event hooks cost nothing
-#     when tracing is off. Builds bench_fig5_baseline twice — the
+#     when tracing is off. Builds slf_campaign twice — the
 #     default build (event hooks compiled in, no sink attached) and a
 #     build with -DSLFWD_OBS_EVENTS=OFF (emission sites removed
 #     entirely) — times both on the same deterministic fig5 workload
@@ -46,33 +46,40 @@ cmake -S "$ROOT" -B "$BUILD_ON" -DCMAKE_BUILD_TYPE=Release \
       -DSLFWD_OBS_EVENTS=ON >/dev/null
 cmake -S "$ROOT" -B "$BUILD_OFF" -DCMAKE_BUILD_TYPE=Release \
       -DSLFWD_OBS_EVENTS=OFF >/dev/null
-cmake --build "$BUILD_ON" --target bench_fig5_baseline bench_sim_speed \
+cmake --build "$BUILD_ON" --target slf_campaign bench_sim_speed \
       -j"$(nproc)" >/dev/null
-cmake --build "$BUILD_OFF" --target bench_fig5_baseline -j"$(nproc)" >/dev/null
+cmake --build "$BUILD_OFF" --target slf_campaign -j"$(nproc)" >/dev/null
 
-# One timed run of one fig5 slice, in milliseconds.
+# The fig5 slice every gate times, on one worker: the sweep's table
+# goes to stdout and its status lines to stderr, both discarded.
+fig5_slice() {
+    "$1/src/driver/slf_campaign" --sweep fig5 --jobs 1 --no-progress \
+        scale="$SCALE" bench="$BENCH_FILTER" >/dev/null 2>&1
+}
+
+# One timed run of the fig5 slice in build dir $1, in milliseconds.
 time_once() {
     local t0 t1
     t0=$(date +%s%N)
-    "$1" scale="$SCALE" bench="$BENCH_FILTER" jobs=1 >/dev/null
+    fig5_slice "$1"
     t1=$(date +%s%N)
     echo $(( (t1 - t0) / 1000000 ))
 }
 
-# Interleaved A/B min-of-N: alternate the two binaries within every
+# Interleaved A/B min-of-N: alternate the two builds within every
 # rep (A B, A B, ...) instead of timing REPS of A then REPS of B.
 # Sequential blocks let host drift — CPU frequency scaling, thermal
 # throttling, a noisy CI neighbour arriving mid-script — land entirely
 # on one side and masquerade as a real ratio; interleaving makes both
-# binaries sample the same host conditions, so min-of-N pairs stay
+# builds sample the same host conditions, so min-of-N pairs stay
 # comparable. Sets MS_A / MS_B.
 time_ab() {
-    local bin_a="$1" bin_b="$2" ms
+    local build_a="$1" build_b="$2" ms
     MS_A= MS_B=
     for _ in $(seq "$REPS"); do
-        ms=$(time_once "$bin_a")
+        ms=$(time_once "$build_a")
         if [ -z "$MS_A" ] || [ "$ms" -lt "$MS_A" ]; then MS_A=$ms; fi
-        ms=$(time_once "$bin_b")
+        ms=$(time_once "$build_b")
         if [ -z "$MS_B" ] || [ "$ms" -lt "$MS_B" ]; then MS_B=$ms; fi
     done
 }
@@ -121,13 +128,10 @@ write_verdict() {
 
 # Warm both binaries (page cache, branch predictors on the host) so
 # neither side pays first-touch cost inside a timed rep.
-"$BUILD_ON/bench/bench_fig5_baseline" scale="$SCALE" \
-    bench="$BENCH_FILTER" jobs=1 >/dev/null
-"$BUILD_OFF/bench/bench_fig5_baseline" scale="$SCALE" \
-    bench="$BENCH_FILTER" jobs=1 >/dev/null
+fig5_slice "$BUILD_ON"
+fig5_slice "$BUILD_OFF"
 
-time_ab "$BUILD_ON/bench/bench_fig5_baseline" \
-        "$BUILD_OFF/bench/bench_fig5_baseline"
+time_ab "$BUILD_ON" "$BUILD_OFF"
 ms_on=$MS_A
 ms_off=$MS_B
 
@@ -161,10 +165,8 @@ if [ -n "$BASELINE_BUILD" ]; then
     # the throughput ratio (the simulated-instruction count is
     # identical by the determinism contract). Interleaved for the same
     # drift-immunity as gate 1.
-    "$BASELINE_BUILD/bench/bench_fig5_baseline" scale="$SCALE" \
-        bench="$BENCH_FILTER" jobs=1 >/dev/null
-    time_ab "$BUILD_ON/bench/bench_fig5_baseline" \
-            "$BASELINE_BUILD/bench/bench_fig5_baseline"
+    fig5_slice "$BASELINE_BUILD"
+    time_ab "$BUILD_ON" "$BASELINE_BUILD"
     ms_new=$MS_A
     ms_base=$MS_B
     speedup=$(awk -v new="$ms_new" -v base="$ms_base" \

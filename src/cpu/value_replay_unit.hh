@@ -13,7 +13,7 @@
  *
  * The load queue is a plain FIFO (no CAM); the store queue keeps its
  * associative forwarding search. The paper's critique — which the
- * bench_value_replay experiment reproduces — is that deferring
+ * value_replay sweep reproduces — is that deferring
  * detection to retirement greatly increases the violation penalty in
  * checkpointed large-window processors, so completion-time
  * disambiguation (the MDT) is preferable there.
