@@ -27,10 +27,11 @@ runFuncBatch(const CoreConfig &cfg, const Program &prog)
     const unsigned width = std::max(1u, cfg.width);
 
     FuncSim sim(prog);
-    // Validation shadow: an independent single-step FuncSim retiring in
-    // lockstep with the batch path. The screening backend's timing is
-    // approximate by design, but its architectural state must not be —
-    // this is the screening analogue of the timing core's golden check.
+    // Validation shadow: an independent FuncSim, stepped one record at
+    // a time in lockstep with the batch path, every record compared
+    // field by field. The screening backend's timing is approximate by
+    // design, but its architectural state must not be — this is the
+    // screening analogue of the timing core's golden check.
     std::unique_ptr<FuncSim> golden;
     if (cfg.validate)
         golden = std::make_unique<FuncSim>(prog);
@@ -54,13 +55,9 @@ runFuncBatch(const CoreConfig &cfg, const Program &prog)
         for (std::size_t i = 0; i < n; ++i) {
             const RetireRecord &rec = block[i];
             if (golden) {
-                const RetireRecord g = golden->step();
                 ++r.check_retirements;
-                if (g.pc != rec.pc || g.next_pc != rec.next_pc ||
-                    g.result != rec.result || g.addr != rec.addr ||
-                    g.store_value != rec.store_value) {
+                if (golden->step() != rec)
                     ++r.check_failures;
-                }
             }
             ++r.insts;
             if (rec.is_mem) {

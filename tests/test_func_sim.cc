@@ -4,7 +4,10 @@
 
 #include "arch/arch_stream.hh"
 #include "arch/func_sim.hh"
+#include "block_step_check.hh"
 #include "prog/builder.hh"
+#include "sim/logging.hh"
+#include "workloads/workloads.hh"
 
 using namespace slf;
 
@@ -235,6 +238,90 @@ TEST(FuncSim, MemoryImageLoadedBeforeExecution)
     FuncSim sim(prog);
     sim.run(10);
     EXPECT_EQ(sim.readReg(2), 1234u);
+}
+
+// ---------------------------------------------------------------------
+// The block kernel: one interpreter behind step() and stepBlock().
+// ---------------------------------------------------------------------
+
+TEST(FuncSim, BlockSizesGiveIdenticalRecordsOnEveryAnalog)
+{
+    for (const WorkloadInfo &w : spec2000Analogs())
+        expectBlockSizesAgree(w.make(WorkloadParams{}), 100'000, w.name);
+}
+
+TEST(FuncSim, HaltInTheMiddleOfABlockEndsIt)
+{
+    ProgramBuilder b("p");
+    b.movi(1, 5);
+    b.addi(2, 1, 1);
+    const Program prog = b.build();   // movi, addi, halt
+    FuncSim sim(prog);
+    RetireRecord out[8];
+    ASSERT_EQ(sim.stepBlock(out, 8), 3u);
+    EXPECT_TRUE(sim.halted());
+    EXPECT_EQ(sim.instsRetired(), 3u);
+    EXPECT_EQ(sim.pc(), 2u);
+
+    RetireRecord halt;
+    halt.pc = 2;
+    halt.op = Op::HALT;
+    halt.next_pc = 2;
+    halt.is_halt = true;
+    EXPECT_TRUE(out[2] == halt) << "HALT's record: next_pc = pc, rest 0";
+    EXPECT_FALSE(out[1].is_halt);
+
+    // Past HALT: stepBlock retires nothing, step() retires HALT again.
+    EXPECT_EQ(sim.stepBlock(out, 8), 0u);
+    EXPECT_TRUE(sim.step() == halt);
+    EXPECT_TRUE(sim.step() == halt);
+    EXPECT_EQ(sim.instsRetired(), 3u);
+}
+
+TEST(FuncSim, RegisterZeroDestinationKeepsTheResultButNamesNoRegister)
+{
+    ProgramBuilder b("p");
+    b.poke64(0x2000, 0x1122334455667788ull);
+    b.movi(1, 0x2000);
+    b.ld8(0, 1, 0);        // load into r0
+    b.addi(0, 1, 7);       // immediate ALU into r0
+    b.add(0, 1, 1);        // register ALU into r0
+    const Program prog = b.build();
+    FuncSim sim(prog);
+    sim.step();
+
+    const RetireRecord ld = sim.step();
+    EXPECT_TRUE(ld.is_mem);
+    EXPECT_EQ(ld.result, 0x1122334455667788ull);
+    EXPECT_FALSE(ld.wrote_reg);
+    EXPECT_EQ(ld.dst, 0u);
+
+    for (const std::uint64_t want : {0x2007ull, 0x4000ull}) {
+        const RetireRecord alu = sim.step();
+        EXPECT_EQ(alu.result, want);
+        EXPECT_FALSE(alu.wrote_reg);
+        EXPECT_EQ(alu.dst, 0u);
+    }
+    EXPECT_EQ(sim.readReg(0), 0u);
+}
+
+TEST(FuncSim, PcOutOfRangeIsFatalAndCountsOnlyRetiredRecords)
+{
+    Program prog("no_halt", WorkloadClass::Int);
+    prog.text().assign(3, StaticInst{});   // three NOPs, no HALT
+    FuncSim sim(prog);
+    RetireRecord out[8];
+    try {
+        sim.stepBlock(out, 8);
+        FAIL() << "running off the text segment must be fatal";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "FuncSim: PC out of range: 3");
+    }
+    EXPECT_EQ(sim.instsRetired(), 3u);
+    EXPECT_EQ(sim.pc(), 3u);
+    EXPECT_FALSE(sim.halted());
+    EXPECT_THROW(sim.step(), FatalError);
+    EXPECT_EQ(sim.instsRetired(), 3u);
 }
 
 // ---------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "block_step_check.hh"
 #include "cpu/config_preset.hh"
 #include "cpu/ooo_core.hh"
 #include "driver/runner.hh"
@@ -476,6 +477,17 @@ TEST(FuzzDifferential, ValueReplaySpotCheck)
             runChecked(MemSubsystem::LsqBaseline, prog, seed);
         EXPECT_EQ(vr.insts, lsq.insts) << "seed 0x" << std::hex << seed;
         EXPECT_EQ(vr.stores_retired, lsq.stores_retired);
+    }
+}
+
+TEST(FuzzDifferential, BlockSizesGiveIdenticalFunctionalRecords)
+{
+    for (std::size_t i = 0; i < kSeedCorpus.size(); ++i) {
+        std::ostringstream what;
+        what << "corpus entry " << i << " (seed 0x" << std::hex
+             << kSeedCorpus[i] << ")";
+        expectBlockSizesAgree(corpusProgram(i, fuzzIterations()),
+                              ~std::uint64_t{0}, what.str());
     }
 }
 
