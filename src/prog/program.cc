@@ -1,56 +1,44 @@
 #include "program.hh"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 namespace slf
 {
 
-void
-InitImage::finalize() const
+std::vector<InitByte>
+InitImage::bytes() const
 {
-    if (finalized_)
-        return;
-    // stable_sort keeps equal addresses in poke order, so keeping the
-    // last element of each run preserves last-poke-wins.
-    std::stable_sort(bytes_.begin(), bytes_.end(),
-                     [](const InitByte &a, const InitByte &b) {
-                         return a.addr < b.addr;
-                     });
-    auto out = bytes_.begin();
-    for (auto it = bytes_.begin(); it != bytes_.end(); ++it) {
-        auto last = it;
-        while (std::next(last) != bytes_.end() &&
-               std::next(last)->addr == it->addr)
-            ++last;
-        *out++ = *last;
-        it = last;
-    }
-    bytes_.erase(out, bytes_.end());
-    finalized_ = true;
+    std::vector<InitByte> out;
+    out.reserve(size_);
+    for (const auto &[num, page] : pages_)
+        for (std::size_t i = 0; i < kPageSize; ++i)
+            if (page.poked[i / 64] >> (i % 64) & 1)
+                out.push_back({(num << kPageBits) | i, page.bytes[i]});
+    return out;
+}
+
+const InitImage::Page *
+InitImage::findPage(Addr addr) const
+{
+    const auto it = pages_.find(addr >> kPageBits);
+    return it == pages_.end() ? nullptr : &it->second;
 }
 
 std::size_t
 InitImage::count(Addr addr) const
 {
-    const auto &v = bytes();
-    const auto it = std::lower_bound(
-        v.begin(), v.end(), addr,
-        [](const InitByte &b, Addr a) { return b.addr < a; });
-    return it != v.end() && it->addr == addr ? 1 : 0;
+    const Page *page = findPage(addr);
+    const std::size_t off = addr & (kPageSize - 1);
+    return page && (page->poked[off / 64] >> (off % 64) & 1) ? 1 : 0;
 }
 
 std::uint8_t
 InitImage::at(Addr addr) const
 {
-    const auto &v = bytes();
-    const auto it = std::lower_bound(
-        v.begin(), v.end(), addr,
-        [](const InitByte &b, Addr a) { return b.addr < a; });
-    if (it == v.end() || it->addr != addr)
+    if (!count(addr))
         throw std::out_of_range("InitImage::at: address never poked");
-    return it->value;
+    return findPage(addr)->bytes[addr & (kPageSize - 1)];
 }
 
 void

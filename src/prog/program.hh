@@ -7,7 +7,9 @@
 #ifndef SLFWD_PROG_PROGRAM_HH_
 #define SLFWD_PROG_PROGRAM_HH_
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,50 +36,54 @@ struct InitByte
 };
 
 /**
- * Initial data image as a sorted byte vector.
+ * Initial data image, kept as 4 KiB pages with a mask of the bytes
+ * that were poked.
  *
  * Workload generators poke bytes in loops (array images easily run to
  * hundreds of kilobytes at high scale), and campaigns rebuild every
- * program once per job, so image construction is campaign-startup cost.
- * Pokes append to a flat vector — no per-byte node allocation — and the
- * image is finalized lazily on first read: one stable_sort by address
- * plus a last-wins dedup, preserving the map semantics writers relied
- * on (a later poke to the same address overwrites the earlier one).
- *
- * Reads and writes may interleave freely on one thread; concurrent
- * first reads of a shared image are not synchronized (campaign workers
- * each build their own Program, so the image is never shared).
+ * program once per job, so image construction is campaign-startup
+ * cost. A poke writes its byte into its page and sets its mask bit: a
+ * later poke to the same address overwrites the earlier one, and
+ * nothing is sorted. MainMemory::loadInitialImage copies whole pages.
  */
 class InitImage
 {
   public:
+    static constexpr unsigned kPageBits = 12;
+    static constexpr std::size_t kPageSize = std::size_t{1} << kPageBits;
+
+    /** One page: its bytes (zero where never poked) and the poke mask. */
+    struct Page
+    {
+        std::array<std::uint8_t, kPageSize> bytes{};
+        /** Bit (i % 64) of word (i / 64) is set once byte i was poked. */
+        std::array<std::uint64_t, kPageSize / 64> poked{};
+
+        bool operator==(const Page &) const = default;
+    };
+
     /** Set one byte; later pokes to the same address win. */
     void
     poke8(Addr addr, std::uint8_t value)
     {
-        bytes_.push_back({addr, value});
-        finalized_ = false;
+        Page &page = pageFor(addr >> kPageBits);
+        const std::size_t off = addr & (kPageSize - 1);
+        std::uint64_t &word = page.poked[off / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (off % 64);
+        size_ += (word & bit) == 0;
+        word |= bit;
+        page.bytes[off] = value;
     }
 
-    /** Sorted, deduplicated image (finalizes on first use). */
-    const std::vector<InitByte> &
-    bytes() const
-    {
-        finalize();
-        return bytes_;
-    }
+    /** Pages by page number (address >> kPageBits), in address order. */
+    const std::map<std::uint64_t, Page> &pages() const { return pages_; }
 
-    std::vector<InitByte>::const_iterator begin() const
-    {
-        return bytes().begin();
-    }
-    std::vector<InitByte>::const_iterator end() const
-    {
-        return bytes().end();
-    }
+    /** Every poked byte, in address order. */
+    std::vector<InitByte> bytes() const;
 
-    std::size_t size() const { return bytes().size(); }
-    bool empty() const { return bytes().empty(); }
+    /** Number of distinct bytes poked. */
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /** 1 if @p addr was poked, else 0 (std::map-compatible). */
     std::size_t count(Addr addr) const;
@@ -88,14 +94,55 @@ class InitImage
     friend bool
     operator==(const InitImage &a, const InitImage &b)
     {
-        return a.bytes() == b.bytes();
+        return a.pages_ == b.pages_;
     }
 
   private:
-    void finalize() const;
+    /**
+     * The page last poked: consecutive pokes almost always share one.
+     * A copied or moved image starts without it, so it can never point
+     * into another image's pages.
+     */
+    struct LastPage
+    {
+        std::uint64_t num = ~std::uint64_t{0};
+        Page *page = nullptr;
 
-    mutable std::vector<InitByte> bytes_;
-    mutable bool finalized_ = true;
+        LastPage() = default;
+        LastPage(const LastPage &) {}
+        LastPage(LastPage &&other) noexcept { other.reset(); }
+        LastPage &operator=(const LastPage &) { reset(); return *this; }
+        LastPage &
+        operator=(LastPage &&other) noexcept
+        {
+            reset();
+            other.reset();
+            return *this;
+        }
+
+        void
+        reset()
+        {
+            num = ~std::uint64_t{0};
+            page = nullptr;
+        }
+    };
+
+    Page &
+    pageFor(std::uint64_t num)
+    {
+        if (last_.num != num) {
+            last_.num = num;
+            last_.page = &pages_[num];
+        }
+        return *last_.page;
+    }
+
+    const Page *findPage(Addr addr) const;
+
+    std::map<std::uint64_t, Page> pages_;
+    std::size_t size_ = 0;
+    LastPage last_;
 };
 
 /**
@@ -132,7 +179,7 @@ class Program
     /** @return true if @p pc addresses a valid instruction. */
     bool validPc(std::uint64_t pc) const { return pc < text_.size(); }
 
-    /** Initial data image, sorted by byte address. */
+    /** Initial data image. */
     const InitImage &initialData() const { return init_data_; }
 
     /** Set one byte of the initial image. */
