@@ -567,7 +567,10 @@ JobJournal::specDigest(const JobSpec &spec, std::size_t job_index,
     // different numbers.
     f.u64(static_cast<std::uint64_t>(spec.backend));
 
-    // Salient core-config identity: the fields sweeps actually vary.
+    // Core-config identity: every CoreConfig field, so a record never
+    // rehydrates into a job whose configuration differs in any of them.
+    // The observability hook pointers are left out: campaign jobs run
+    // with them nulled.
     const CoreConfig &c = spec.cfg;
     f.u64(c.width);
     f.u64(c.rob_entries);
@@ -595,6 +598,37 @@ JobJournal::specDigest(const JobSpec &spec, std::size_t job_index,
     f.d(c.fault.mdt_evict_rate);
     f.d(c.fault.fifo_payload_rate);
     f.u64(c.fault.seed);
+    f.u64(c.max_branches_per_fetch);
+    f.u64(c.fetch_queue_entries);
+    for (const Cycle lat : {c.alu_latency, c.mul_latency, c.fp_latency,
+                            c.load_latency, c.store_latency,
+                            c.mispredict_penalty, c.replay_delay})
+        f.u64(lat);
+    f.u64(c.gshare_bits);
+    f.u64(c.gshare_history_bits);
+    f.u64(c.sfc.max_flush_ranges);
+    f.u64(c.mdt.tagged ? 1 : 0);
+    f.u64(c.mdt.optimized_true_recovery ? 1 : 0);
+    f.u64(c.memdep.table_entries);
+    f.u64(c.memdep.num_set_ids);
+    f.u64(c.memdep.lfpt_entries);
+    f.u64(c.memdep.num_tags);
+    f.u64(c.sfc_store_extra_cycle ? 1 : 0);
+    f.u64(c.mdt_violation_extra_penalty);
+    f.u64(c.output_dep_marks_corrupt ? 1 : 0);
+    f.u64(c.value_replay_filtered ? 1 : 0);
+    for (const CacheGeometry *g : {&c.l1i, &c.l1d, &c.l2}) {
+        f.str(g->name);
+        f.u64(g->size_bytes);
+        f.u64(g->assoc);
+        f.u64(g->line_bytes);
+        f.u64(g->miss_penalty);
+    }
+    f.u64(c.check_abort ? 1 : 0);
+    f.u64(c.watchdog_retire_cycles);
+    f.u64(c.watchdog_max_cycles);
+    f.u64(c.deadline_ms);
+    f.u64(c.obs.sample_occupancy ? 1 : 0);
     return f.h;
 }
 

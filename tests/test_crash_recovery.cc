@@ -27,6 +27,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -372,6 +373,91 @@ TEST(CrashRecovery, SpecDigestDistinguishesJobs)
     EXPECT_NE(d0, JobJournal::specDigest(mutated, 0, 1));
     // Determinism.
     EXPECT_EQ(d0, JobJournal::specDigest(c.jobs()[0], 0, 1));
+}
+
+TEST(CrashRecovery, SpecDigestCoversEveryOverrideKey)
+{
+    // A non-default value for every override key. A key added to
+    // knownOverrideKeys() without an entry here fails the test, so a
+    // new knob cannot slip past the digest and let --resume rehydrate
+    // a record simulated under a different configuration.
+    const std::vector<std::pair<std::string, std::string>> values = {
+        {"check.abort", "0"},
+        {"deadline_ms", "12345"},
+        {"fault.fifo_payload", "0.25"},
+        {"fault.mdt_evict", "0.25"},
+        {"fault.sfc_data", "0.25"},
+        {"fault.sfc_mask", "0.25"},
+        {"fault.seed", "99"},
+        {"fus", "3"},
+        {"lsq.lq", "17"},
+        {"lsq.sq", "13"},
+        {"max_cycles", "777"},
+        {"max_insts", "4242"},
+        {"mdt.assoc", "4"},
+        {"mdt.granularity", "4"},
+        {"mdt.sets", "64"},
+        {"mdt.tagged", "0"},
+        {"memdep.mode", "lsq"},
+        {"obs.occupancy", "1"},
+        {"optimized_true_recovery", "1"},
+        {"oracle_fix_prob", "0.5"},
+        {"output_dep_marks_corrupt", "1"},
+        {"partial_match_merges", "0"},
+        {"rob", "64"},
+        {"sched", "32"},
+        {"seed", "5"},
+        {"sfc.assoc", "4"},
+        {"sfc.flush_endpoints", "1"},
+        {"sfc.max_flush_ranges", "1"},
+        {"sfc.sets", "64"},
+        {"stall_bits", "0"},
+        {"subsys", "lsq"},
+        {"validate", "0"},
+        {"value_replay_filtered", "0"},
+        {"watchdog.max_cycles", "1000000"},
+        {"watchdog.retire_cycles", "999"},
+        {"width", "2"},
+    };
+    std::vector<std::string> covered;
+    for (const auto &[key, value] : values)
+        covered.push_back(key);
+    std::sort(covered.begin(), covered.end());
+    EXPECT_EQ(covered, knownOverrideKeys());
+
+    JobSpec base;
+    base.config_name = "cfg";
+    base.workload = "wl";
+    base.cfg = CoreConfig::baseline();
+    const std::uint64_t d0 = JobJournal::specDigest(base, 0, 1);
+    for (const auto &[key, value] : values) {
+        Config ov;
+        ov.set(key, value);
+        JobSpec mutated = base;
+        applyOverrides(mutated.cfg, ov);
+        ASSERT_FALSE(mutated.cfg == base.cfg)
+            << key << "=" << value << " is the default";
+        EXPECT_NE(JobJournal::specDigest(mutated, 0, 1), d0) << key;
+    }
+
+    // Fields no override reaches are covered too.
+    const std::vector<void (*)(CoreConfig &)> edits = {
+        [](CoreConfig &c) { c.load_latency += 1; },
+        [](CoreConfig &c) { c.replay_delay += 1; },
+        [](CoreConfig &c) { c.gshare_bits *= 2; },
+        [](CoreConfig &c) { c.fetch_queue_entries += 1; },
+        [](CoreConfig &c) { c.memdep.num_tags += 1; },
+        [](CoreConfig &c) { c.sfc_store_extra_cycle = false; },
+        [](CoreConfig &c) { c.mdt_violation_extra_penalty += 1; },
+        [](CoreConfig &c) { c.l1d.size_bytes *= 2; },
+        [](CoreConfig &c) { c.l2.miss_penalty += 1; },
+    };
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        JobSpec mutated = base;
+        edits[i](mutated.cfg);
+        EXPECT_NE(JobJournal::specDigest(mutated, 0, 1), d0)
+            << "edit " << i;
+    }
 }
 
 // ---------------------------------------------------------------------
