@@ -177,12 +177,17 @@ class ClassAverages
             c[i].push_back(cells[i]);
     }
 
-    /** A blank line, then the int and fp average rows. */
+    /**
+     * A blank line, then the int and fp average rows. A class with no
+     * rows gets no average row: a mean over nothing is not a 0.000.
+     */
     void
     render(std::string &out) const
     {
         out += '\n';
         for (int k = 0; k < 2; ++k) {
+            if (cols_[k].empty() || cols_[k][0].empty())
+                continue;
             std::vector<double> means;
             for (const auto &c : cols_[k])
                 means.push_back(mean(c));
@@ -322,10 +327,15 @@ renderViolationRates(const std::vector<JobResult> &results,
         notenf_viol += double(violations(notenf));
         notenf_ops += double(notenf.memOps());
     }
-    appendf(out,
-            "\nENF/NOT-ENF IPC: int avg %.3f  fp avg %.3f"
-            "   (paper: 1.14 int, 1.43 fp)\n",
-            mean(gain_int), mean(gain_fp));
+    // Only the classes that have rows get an average.
+    out += "\nENF/NOT-ENF IPC:";
+    if (!gain_int.empty())
+        appendf(out, " int avg %.3f", mean(gain_int));
+    if (!gain_int.empty() && !gain_fp.empty())
+        out += ' ';
+    if (!gain_fp.empty())
+        appendf(out, " fp avg %.3f", mean(gain_fp));
+    out += "   (paper: 1.14 int, 1.43 fp)\n";
     appendf(out,
             "violation rate: ENF %.2f%%  NOT-ENF %.2f%%"
             "   (paper: 0.11%% vs 0.93%%)\n",
