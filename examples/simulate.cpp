@@ -1,7 +1,8 @@
 /**
  * @file
  * General-purpose simulator driver: run any SPEC 2000 analog (or micro
- * workload) under any configuration and print the full statistics.
+ * workload) under any configuration and print every harvested counter
+ * of its SimResult.
  *
  * Usage:
  *   simulate <workload> [preset=NAME] [key=value ...]
@@ -12,7 +13,7 @@
  * Examples:
  *   simulate mcf preset=aggressive
  *   simulate bzip2 preset=lsq48x32
- *   simulate gzip memdep.mode=true scale=4 stats=1
+ *   simulate gzip memdep.mode=true scale=4
  */
 
 #include <cstdio>
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "cpu/config_preset.hh"
-#include "cpu/ooo_core.hh"
 #include "driver/runner.hh"
 #include "sim/config.hh"
 #include "workloads/workloads.hh"
@@ -71,33 +71,20 @@ main(int argc, char **argv)
                      : preset == "aggressive" ? CoreConfig::aggressive()
                                               : presetByName(preset);
     applyOverrides(cfg,
-                   stripKeys(overrides, {"preset", "scale", "wseed",
-                                         "stats"}));
+                   stripKeys(overrides, {"preset", "scale", "wseed"}));
 
     std::printf("workload %s (%s): %s\n", info->name,
                 info->cls == WorkloadClass::Int ? "int" : "fp",
                 info->behaviour);
 
-    OooCore core(cfg, prog);
-    core.run();
+    const SimResult r = runWorkload(cfg, prog);
 
-    std::printf("\ncycles %llu  insts %llu  IPC %.3f\n",
-                (unsigned long long)core.cycles(),
-                (unsigned long long)core.instsRetired(), core.ipc());
-    std::printf("\n%s", core.coreStats().toString().c_str());
-    std::printf("%s", core.memUnit().unitStats().toString().c_str());
-    if (overrides.getBool("stats", false)) {
-        std::printf("%s", core.memDep().stats().toString().c_str());
-        std::printf("%s", core.caches().l1i().stats().toString().c_str());
-        std::printf("%s", core.caches().l1d().stats().toString().c_str());
-        std::printf("%s", core.caches().l2().stats().toString().c_str());
-        if (auto *u = dynamic_cast<MdtSfcUnit *>(&core.memUnit())) {
-            std::printf("%s", u->mdt().stats().toString().c_str());
-            std::printf("%s", u->sfc().stats().toString().c_str());
-            std::printf("%s", u->storeFifo().stats().toString().c_str());
-        } else if (auto *l = dynamic_cast<LsqUnit *>(&core.memUnit())) {
-            std::printf("%s", l->lsq().stats().toString().c_str());
-        }
-    }
+    std::printf("\ncycles %llu  insts %llu  IPC %.3f\n\n",
+                (unsigned long long)r.cycles, (unsigned long long)r.insts,
+                r.ipc);
+#define SLF_PRINT_COUNTER(name)                                         \
+    std::printf("%-28s %llu\n", #name, (unsigned long long)r.name);
+    SLF_SIM_COUNTERS(SLF_PRINT_COUNTER)
+#undef SLF_PRINT_COUNTER
     return 0;
 }

@@ -8,16 +8,7 @@ namespace slf
 {
 
 Mdt::Mdt(const MdtParams &params)
-    : params_(params),
-      stats_("mdt"),
-      table_(stats_),
-      accesses_(table_[obs::MdtStat::Accesses]),
-      conflicts_(table_[obs::MdtStat::SetConflicts]),
-      viol_true_(table_[obs::MdtStat::ViolationsTrue]),
-      viol_anti_(table_[obs::MdtStat::ViolationsAnti]),
-      viol_output_(table_[obs::MdtStat::ViolationsOutput]),
-      scavenged_(table_[obs::MdtStat::ScavengedEntries]),
-      optimized_recoveries_(table_[obs::MdtStat::OptimizedTrueRecoveries])
+    : params_(params)
 {
     if (params.sets == 0 || (params.sets & (params.sets - 1)) != 0)
         fatal("Mdt: set count must be a nonzero power of two");
@@ -76,7 +67,7 @@ Mdt::scavengeSet(std::uint64_t set)
             !e.store_valid || e.store_seq < oldest_inflight_;
         const bool any_state = e.load_valid || e.store_valid;
         if (any_state && load_dead && store_dead) {
-            ++scavenged_;
+            ++stats_[S::ScavengedEntries];
             freeEntry(e);
         }
     }
@@ -153,14 +144,14 @@ Mdt::loadOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
     MdtAccess result;
     Entry *e = findOrAlloc(block);
     if (!e) {
-        ++conflicts_;
+        ++stats_[S::SetConflicts];
         result.status = MdtAccess::Status::Conflict;
         return result;
     }
 
     // Anti-dependence check: a later store has already completed.
     if (e->store_valid && seq < e->store_seq) {
-        ++viol_anti_;
+        ++stats_[S::ViolationsAnti];
         result.status = MdtAccess::Status::Violation;
         result.kind = DepKind::Anti;
         // "The pipeline flushes the load and all subsequent
@@ -186,7 +177,7 @@ Mdt::storeOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
     MdtAccess result;
     Entry *e = findOrAlloc(block);
     if (!e) {
-        ++conflicts_;
+        ++stats_[S::SetConflicts];
         result.status = MdtAccess::Status::Conflict;
         return result;
     }
@@ -196,7 +187,7 @@ Mdt::storeOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
     const bool output_viol = e->store_valid && seq < e->store_seq;
 
     if (true_viol) {
-        ++viol_true_;
+        ++stats_[S::ViolationsTrue];
         result.status = MdtAccess::Status::Violation;
         result.kind = DepKind::True;
         result.producer_pc = pc;
@@ -205,7 +196,7 @@ Mdt::storeOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
             // Exactly one completed, unretired load: it must be the
             // latest (and only) conflicting one, so flush from the load
             // itself instead of from the completing store (Sec. 2.4.1).
-            ++optimized_recoveries_;
+            ++stats_[S::OptimizedTrueRecoveries];
             result.squash_from = e->load_seq;
         } else {
             result.squash_from = seq + 1;
@@ -213,7 +204,7 @@ Mdt::storeOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
     }
 
     if (output_viol) {
-        ++viol_output_;
+        ++stats_[S::ViolationsOutput];
         if (true_viol) {
             // Both fire: one recovery (the older squash point wins), but
             // both dependence arcs must reach the predictor.
@@ -245,7 +236,7 @@ Mdt::storeOneBlock(std::uint64_t block, SeqNum seq, std::uint64_t pc)
 MdtAccess
 Mdt::accessLoad(Addr addr, unsigned size, SeqNum seq, std::uint64_t pc)
 {
-    ++accesses_;
+    ++stats_[S::Accesses];
     const std::uint64_t first = firstBlock(addr);
     const std::uint64_t last = lastBlock(addr, size);
     for (std::uint64_t b = first; b <= last; ++b) {
@@ -259,7 +250,7 @@ Mdt::accessLoad(Addr addr, unsigned size, SeqNum seq, std::uint64_t pc)
 MdtAccess
 Mdt::accessStore(Addr addr, unsigned size, SeqNum seq, std::uint64_t pc)
 {
-    ++accesses_;
+    ++stats_[S::Accesses];
     const std::uint64_t first = firstBlock(addr);
     const std::uint64_t last = lastBlock(addr, size);
     for (std::uint64_t b = first; b <= last; ++b) {

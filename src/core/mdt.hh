@@ -34,7 +34,6 @@
 #include "obs/stat_table.hh"
 #include "pred/memdep.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -148,10 +147,8 @@ class Mdt
     std::uint64_t evictionCount() const { return evictions_; }
 
     const MdtParams &params() const { return params_; }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
     /** Typed counter read (the name is compile-checked). */
-    std::uint64_t statValue(obs::MdtStat s) const { return table_.value(s); }
+    std::uint64_t statValue(obs::MdtStat s) const { return stats_.value(s); }
 
   private:
     /**
@@ -206,15 +203,8 @@ class Mdt
     std::uint64_t evictions_ = 0;
     std::uint64_t valid_count_ = 0;
 
-    StatGroup stats_;
-    obs::StatTable<obs::MdtStat> table_;
-    Counter &accesses_;
-    Counter &conflicts_;
-    Counter &viol_true_;
-    Counter &viol_anti_;
-    Counter &viol_output_;
-    Counter &scavenged_;
-    Counter &optimized_recoveries_;
+    using S = obs::MdtStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

@@ -8,17 +8,7 @@ namespace slf
 {
 
 Sfc::Sfc(const SfcParams &params)
-    : params_(params),
-      stats_("sfc"),
-      table_(stats_),
-      store_writes_(table_[obs::SfcStat::StoreWrites]),
-      load_reads_(table_[obs::SfcStat::LoadReads]),
-      full_matches_(table_[obs::SfcStat::FullMatches]),
-      partial_matches_(table_[obs::SfcStat::PartialMatches]),
-      corrupt_hits_(table_[obs::SfcStat::CorruptHits]),
-      conflicts_(table_[obs::SfcStat::SetConflicts]),
-      partial_flushes_(table_[obs::SfcStat::PartialFlushes]),
-      scavenged_(table_[obs::SfcStat::ScavengedEntries])
+    : params_(params)
 {
     if (params.sets == 0 || (params.sets & (params.sets - 1)) != 0)
         fatal("Sfc: set count must be a nonzero power of two");
@@ -54,10 +44,8 @@ Sfc::scavengeSet(std::uint64_t set)
         // Dead entry: its youngest writer predates the oldest in-flight
         // instruction, so every store that wrote it has committed or was
         // squashed; the cache hierarchy is authoritative again.
-        if (e.valid && e.last_store_seq < oldest_inflight_) {
-            ++scavenged_;
+        if (e.valid && e.last_store_seq < oldest_inflight_)
             freeEntry(e);
-        }
     }
 }
 
@@ -109,14 +97,14 @@ Sfc::findOrAlloc(std::uint64_t word)
 SfcStoreResult
 Sfc::storeWrite(Addr addr, unsigned size, std::uint64_t value, SeqNum seq)
 {
-    ++store_writes_;
+    ++stats_[S::StoreWrites];
     // A store may straddle two aligned words; both must be writable.
     // One table probe per word, not per byte.
     for (unsigned i = 0; i < size;) {
         const Addr byte_addr = addr + i;
         Entry *e = findOrAlloc(byte_addr / kSfcWordBytes);
         if (!e) {
-            ++conflicts_;
+            ++stats_[S::SetConflicts];
             return SfcStoreResult::Conflict;
         }
         const unsigned off0 = byte_addr % kSfcWordBytes;
@@ -142,7 +130,7 @@ Sfc::storeWrite(Addr addr, unsigned size, std::uint64_t value, SeqNum seq)
 SfcLoadResult
 Sfc::loadRead(Addr addr, unsigned size)
 {
-    ++load_reads_;
+    ++stats_[S::LoadReads];
     SfcLoadResult result;
     bool any_valid = false;
     bool all_valid = true;
@@ -195,13 +183,12 @@ Sfc::loadRead(Addr addr, unsigned size)
     }
 
     if (any_corrupt) {
-        ++corrupt_hits_;
+        ++stats_[S::CorruptHits];
         result.status = SfcLoadResult::Status::Corrupt;
     } else if (any_valid && all_valid) {
-        ++full_matches_;
+        ++stats_[S::FullMatches];
         result.status = SfcLoadResult::Status::Full;
     } else if (any_valid) {
-        ++partial_matches_;
         result.status = SfcLoadResult::Status::Partial;
     } else {
         result.status = SfcLoadResult::Status::Miss;
@@ -263,7 +250,7 @@ Sfc::expireFlushRanges()
 void
 Sfc::partialFlush(SeqNum from, SeqNum to)
 {
-    ++partial_flushes_;
+    ++stats_[S::PartialFlushes];
     if (params_.use_flush_endpoints) {
         expireFlushRanges();
         if (flush_ranges_.size() >= params_.max_flush_ranges) {

@@ -33,7 +33,6 @@
 
 #include "obs/stat_table.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -153,10 +152,8 @@ class Sfc
     std::uint64_t evictionCount() const { return evictions_; }
 
     const SfcParams &params() const { return params_; }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
     /** Typed counter read (the name is compile-checked). */
-    std::uint64_t statValue(obs::SfcStat s) const { return table_.value(s); }
+    std::uint64_t statValue(obs::SfcStat s) const { return stats_.value(s); }
 
   private:
     /**
@@ -204,16 +201,8 @@ class Sfc
     std::uint64_t evictions_ = 0;
     std::uint64_t valid_count_ = 0;
 
-    StatGroup stats_;
-    obs::StatTable<obs::SfcStat> table_;
-    Counter &store_writes_;
-    Counter &load_reads_;
-    Counter &full_matches_;
-    Counter &partial_matches_;
-    Counter &corrupt_hits_;
-    Counter &conflicts_;
-    Counter &partial_flushes_;
-    Counter &scavenged_;
+    using S = obs::SfcStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

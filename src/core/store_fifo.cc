@@ -6,13 +6,7 @@ namespace slf
 {
 
 StoreFifo::StoreFifo(std::size_t capacity)
-    : capacity_(capacity),
-      stats_("store_fifo"),
-      table_(stats_),
-      allocated_(table_[obs::StoreFifoStat::Allocated]),
-      retired_(table_[obs::StoreFifoStat::Retired]),
-      squashed_(table_[obs::StoreFifoStat::Squashed]),
-      payload_faults_(table_[obs::StoreFifoStat::PayloadFaults])
+    : capacity_(capacity)
 {
     if (capacity == 0)
         fatal("StoreFifo: capacity must be nonzero");
@@ -34,7 +28,6 @@ StoreFifo::allocate(SeqNum seq)
     Slot slot;
     slot.seq = seq;
     slots_.push_back(slot);
-    ++allocated_;
     return true;
 }
 
@@ -83,7 +76,6 @@ StoreFifo::retireHead(SeqNum seq)
     }
     Slot slot = head;
     slots_.pop_front();
-    ++retired_;
     return slot;
 }
 
@@ -92,14 +84,14 @@ StoreFifo::squashFrom(SeqNum seq)
 {
     while (!slots_.empty() && slots_.back().seq >= seq) {
         slots_.pop_back();
-        ++squashed_;
+        ++stats_[S::Squashed];
     }
 }
 
 void
 StoreFifo::clear()
 {
-    squashed_ += slots_.size();
+    stats_[S::Squashed] += slots_.size();
     slots_.clear();
 }
 
@@ -109,7 +101,7 @@ StoreFifo::corruptHeadPayload(std::uint64_t xor_bits)
     if (slots_.empty() || !slots_.front().data_valid)
         return false;
     slots_.front().value ^= xor_bits;
-    ++payload_faults_;
+    ++stats_[S::PayloadFaults];
     return true;
 }
 

@@ -17,7 +17,6 @@
 #include <deque>
 
 #include "obs/stat_table.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -81,22 +80,17 @@ class StoreFifo
      */
     bool corruptHeadPayload(std::uint64_t xor_bits);
 
-    StatGroup &stats() { return stats_; }
     /** Typed counter read (the name is compile-checked). */
     std::uint64_t statValue(obs::StoreFifoStat s) const
     {
-        return table_.value(s);
+        return stats_.value(s);
     }
 
   private:
     std::size_t capacity_;
     std::deque<Slot> slots_;
-    StatGroup stats_;
-    obs::StatTable<obs::StoreFifoStat> table_;
-    Counter &allocated_;
-    Counter &retired_;
-    Counter &squashed_;
-    Counter &payload_faults_;
+    using S = obs::StoreFifoStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

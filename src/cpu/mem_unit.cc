@@ -75,23 +75,7 @@ MdtSfcUnit::MdtSfcUnit(const CoreConfig &cfg, MainMemory &mem,
       memdep_(memdep),
       mdt_(cfg.mdt),
       sfc_(cfg.sfc),
-      fifo_(cfg.rob_entries),
-      stats_("mdtsfc_unit"),
-      table_(stats_),
-      load_replays_corrupt_(
-          table_[obs::MdtSfcUnitStat::LoadReplaysSfcCorrupt]),
-      load_replays_partial_(
-          table_[obs::MdtSfcUnitStat::LoadReplaysSfcPartial]),
-      load_replays_mdt_conflict_(
-          table_[obs::MdtSfcUnitStat::LoadReplaysMdtConflict]),
-      store_replays_sfc_conflict_(
-          table_[obs::MdtSfcUnitStat::StoreReplaysSfcConflict]),
-      store_replays_mdt_conflict_(
-          table_[obs::MdtSfcUnitStat::StoreReplaysMdtConflict]),
-      sfc_forwards_(table_[obs::MdtSfcUnitStat::SfcForwards]),
-      head_bypasses_(table_[obs::MdtSfcUnitStat::HeadBypasses]),
-      output_corrupt_recoveries_(
-          table_[obs::MdtSfcUnitStat::OutputCorruptRecoveries])
+      fifo_(cfg.rob_entries)
 {}
 
 bool
@@ -117,7 +101,7 @@ MdtSfcUnit::headBypassStore(DynInst &inst)
     // otherwise a younger load issuing in the same cycle could read
     // stale memory with no MDT re-check left to catch it (the store
     // never accesses the MDT again).
-    ++head_bypasses_;
+    ++stats_[S::HeadBypasses];
     inst.head_bypassed = true;
     fifo_.fill(inst.seq, inst.addr, inst.size, inst.store_value);
     mem_.writeBytes(inst.addr, inst.store_value, inst.size);
@@ -133,7 +117,7 @@ MdtSfcUnit::issueLoad(DynInst &inst, bool at_rob_head)
     if (at_rob_head) {
         // All older stores have retired: the cache hierarchy is
         // authoritative, so skip the SFC and MDT entirely.
-        ++head_bypasses_;
+        ++stats_[S::HeadBypasses];
         inst.head_bypassed = true;
         out.load_value = readCommitted(inst.addr, inst.size);
         out.extra_latency = caches_.accessData(inst.addr);
@@ -148,14 +132,14 @@ MdtSfcUnit::issueLoad(DynInst &inst, bool at_rob_head)
                  sfcProbeDetail(sfc.status));
     switch (sfc.status) {
       case SfcLoadResult::Status::Corrupt:
-        ++load_replays_corrupt_;
+        ++stats_[S::LoadReplaysSfcCorrupt];
         out.kind = MemIssueOutcome::Kind::Replay;
         out.replay_reason = ReplayReason::SfcCorrupt;
         return out;
 
       case SfcLoadResult::Status::Partial:
         if (!cfg_.partial_match_merges) {
-            ++load_replays_partial_;
+            ++stats_[S::LoadReplaysSfcPartial];
             out.kind = MemIssueOutcome::Kind::Replay;
             out.replay_reason = ReplayReason::SfcPartial;
             return out;
@@ -167,7 +151,7 @@ MdtSfcUnit::issueLoad(DynInst &inst, bool at_rob_head)
         break;
 
       case SfcLoadResult::Status::Full:
-        ++sfc_forwards_;
+        ++stats_[S::SfcForwards];
         out.load_value = sfc.value;
         // The L1D is accessed in parallel (keeps its contents warm) but
         // the SFC supplies the data, so a miss costs nothing.
@@ -188,7 +172,7 @@ MdtSfcUnit::issueLoad(DynInst &inst, bool at_rob_head)
                  inst.seq, inst.pc, inst.addr, mdt.producer_pc,
                  mdtCheckDetail(mdt));
     if (mdt.status == MdtAccess::Status::Conflict) {
-        ++load_replays_mdt_conflict_;
+        ++stats_[S::LoadReplaysMdtConflict];
         out.kind = MemIssueOutcome::Kind::Replay;
         out.replay_reason = ReplayReason::MdtConflict;
         return out;
@@ -232,7 +216,7 @@ MdtSfcUnit::issueStore(DynInst &inst, bool at_rob_head)
             headBypassStore(inst);
             return out;
         }
-        ++store_replays_mdt_conflict_;
+        ++stats_[S::StoreReplaysMdtConflict];
         out.kind = MemIssueOutcome::Kind::Replay;
         out.replay_reason = ReplayReason::MdtConflict;
         return out;
@@ -269,7 +253,7 @@ MdtSfcUnit::issueStore(DynInst &inst, bool at_rob_head)
             }
             return out;
         }
-        ++store_replays_sfc_conflict_;
+        ++stats_[S::StoreReplaysSfcConflict];
         out.kind = MemIssueOutcome::Kind::Replay;
         out.replay_reason = ReplayReason::SfcConflict;
         return out;
@@ -291,7 +275,6 @@ MdtSfcUnit::issueStore(DynInst &inst, bool at_rob_head)
         if (mdt.kind == DepKind::Output && cfg_.output_dep_marks_corrupt) {
             // Section 2.4.2: instead of flushing, poison the overwritten
             // SFC bytes and let the normal corruption machinery recover.
-            ++output_corrupt_recoveries_;
             sfc_.markCorrupt(inst.addr, inst.size);
             return out;
         }
@@ -382,7 +365,6 @@ MemUnit::occupancyDump() const
 void
 MdtSfcUnit::exportStats(SimResult &r) const
 {
-    using S = obs::MdtSfcUnitStat;
     r.load_replays_sfc_corrupt = statValue(S::LoadReplaysSfcCorrupt);
     r.load_replays_sfc_partial = statValue(S::LoadReplaysSfcPartial);
     r.load_replays_mdt_conflict = statValue(S::LoadReplaysMdtConflict);
@@ -406,10 +388,7 @@ LsqUnit::LsqUnit(const CoreConfig &cfg, MainMemory &mem,
                  CacheHierarchy &caches, MemDepPredictor &memdep)
     : MemUnit(mem, caches),
       memdep_(memdep),
-      lsq_(cfg.lsq, [&mem](Addr a) { return mem.read8(a); }),
-      stats_("lsq_unit"),
-      table_(stats_),
-      lsq_forwards_(table_[obs::LsqUnitStat::FullForwards])
+      lsq_(cfg.lsq, [&mem](Addr a) { return mem.read8(a); })
 {}
 
 bool
@@ -449,7 +428,7 @@ LsqUnit::issueLoad(DynInst &inst, bool)
                                 inst.size);
     if (fwd.forward_mask == full_mask) {
         // Fully bypassed from the store queue: single-cycle bypass.
-        ++lsq_forwards_;
+        ++stats_[S::FullForwards];
         caches_.accessData(inst.addr);
     } else {
         out.extra_latency = caches_.accessData(inst.addr);

@@ -30,7 +30,6 @@
 #include "obs/occupancy.hh"
 #include "obs/stat_table.hh"
 #include "pred/memdep.hh"
-#include "sim/stats.hh"
 #include "verify/sim_result.hh"
 
 namespace slf
@@ -128,10 +127,6 @@ class MemUnit
      */
     virtual std::uint64_t evictionCount() const = 0;
 
-    /** Per-unit statistics group. */
-    virtual StatGroup &unitStats() = 0;
-    virtual const StatGroup &unitStats() const = 0;
-
     /**
      * Export this unit's counters into a flat SimResult. Every unit
      * reads its own typed stat tables (MDT/SFC accesses, LSQ CAM
@@ -192,15 +187,13 @@ class MdtSfcUnit : public MemUnit
     void onPartialFlush(SeqNum from, SeqNum to) override;
     void setOldestInflight(SeqNum seq) override;
     std::uint64_t evictionCount() const override;
-    StatGroup &unitStats() override { return stats_; }
-    const StatGroup &unitStats() const override { return stats_; }
     void exportStats(SimResult &r) const override;
     void setFaultInjector(FaultInjector *fi) override { injector_ = fi; }
     void snapshotOccupancy(obs::OccSnapshot &snap) const override;
     /** Typed counter read (the name is compile-checked). */
     std::uint64_t statValue(obs::MdtSfcUnitStat s) const
     {
-        return table_.value(s);
+        return stats_.value(s);
     }
 
     Mdt &mdt() { return mdt_; }
@@ -221,16 +214,8 @@ class MdtSfcUnit : public MemUnit
     StoreFifo fifo_;
     FaultInjector *injector_ = nullptr;
 
-    StatGroup stats_;
-    obs::StatTable<obs::MdtSfcUnitStat> table_;
-    Counter &load_replays_corrupt_;
-    Counter &load_replays_partial_;
-    Counter &load_replays_mdt_conflict_;
-    Counter &store_replays_sfc_conflict_;
-    Counter &store_replays_mdt_conflict_;
-    Counter &sfc_forwards_;
-    Counter &head_bypasses_;
-    Counter &output_corrupt_recoveries_;
+    using S = obs::MdtSfcUnitStat;
+    obs::StatTable<S> stats_;
 };
 
 /** The idealized LSQ baseline. */
@@ -252,14 +237,12 @@ class LsqUnit : public MemUnit
     void onPartialFlush(SeqNum, SeqNum) override {}
     void setOldestInflight(SeqNum) override {}
     std::uint64_t evictionCount() const override { return 0; }
-    StatGroup &unitStats() override { return stats_; }
-    const StatGroup &unitStats() const override { return stats_; }
     void exportStats(SimResult &r) const override;
     void snapshotOccupancy(obs::OccSnapshot &snap) const override;
     /** Typed counter read (the name is compile-checked). */
     std::uint64_t statValue(obs::LsqUnitStat s) const
     {
-        return table_.value(s);
+        return stats_.value(s);
     }
 
     Lsq &lsq() { return lsq_; }
@@ -268,9 +251,8 @@ class LsqUnit : public MemUnit
   private:
     MemDepPredictor &memdep_;
     Lsq lsq_;
-    StatGroup stats_;
-    obs::StatTable<obs::LsqUnitStat> table_;
-    Counter &lsq_forwards_;
+    using S = obs::LsqUnitStat;
+    obs::StatTable<S> stats_;
 };
 
 /** Factory selecting the unit from the configuration. */

@@ -46,22 +46,7 @@ OooCore::OooCore(const CoreConfig &cfg, const Program &prog)
       rob_(std::size_t{cfg.rob_entries} + cfg.fetch_queue_entries),
       trace_(cfg.obs.trace),
       profiler_(cfg.obs.profiler),
-      lifetime_(cfg.obs.lifetime),
-      stats_("core"),
-      table_(stats_),
-      insts_retired_(table_[obs::CoreStat::InstsRetired]),
-      loads_retired_(table_[obs::CoreStat::LoadsRetired]),
-      stores_retired_(table_[obs::CoreStat::StoresRetired]),
-      branches_retired_(table_[obs::CoreStat::BranchesRetired]),
-      mispredicts_(table_[obs::CoreStat::BranchMispredicts]),
-      oracle_fixes_(table_[obs::CoreStat::OracleFixedMispredicts]),
-      replays_(table_[obs::CoreStat::MemReplays]),
-      violation_flushes_true_(table_[obs::CoreStat::ViolationFlushesTrue]),
-      violation_flushes_anti_(table_[obs::CoreStat::ViolationFlushesAnti]),
-      violation_flushes_output_(
-          table_[obs::CoreStat::ViolationFlushesOutput]),
-      spurious_violations_(table_[obs::CoreStat::SpuriousViolations]),
-      dispatch_stalls_(table_[obs::CoreStat::DispatchStallCycles])
+      lifetime_(cfg.obs.lifetime)
 {
     if (cfg_.width == 0 || cfg_.num_fus == 0 || cfg_.rob_entries == 0 ||
         cfg_.sched_entries == 0) {
@@ -400,7 +385,7 @@ OooCore::clearStallBits()
 void
 OooCore::recoverBranchMispredict(DynInst &branch)
 {
-    ++mispredicts_;
+    ++stats_[S::BranchMispredicts];
     SLF_OBS_EMIT(trace_, obs::EventKind::Flush, obs::Track::Recovery,
                  branch.seq, branch.pc, 0, branch.actual_next_pc,
                  obs::FlushDetail::Branch);
@@ -447,14 +432,14 @@ OooCore::recoverViolation(const MemIssueOutcome &outcome, bool value_replay)
     if (idx == rob_.size()) {
         // Violation relative to canceled instructions only: nothing to
         // do (the MDT is conservative about stale state).
-        ++spurious_violations_;
+        ++stats_[S::SpuriousViolations];
         return;
     }
 
     switch (outcome.dep_kind) {
-      case DepKind::True: ++violation_flushes_true_; break;
-      case DepKind::Anti: ++violation_flushes_anti_; break;
-      case DepKind::Output: ++violation_flushes_output_; break;
+      case DepKind::True: ++stats_[S::ViolationFlushesTrue]; break;
+      case DepKind::Anti: ++stats_[S::ViolationFlushesAnti]; break;
+      case DepKind::Output: ++stats_[S::ViolationFlushesOutput]; break;
     }
 
 #ifndef SLFWD_OBS_EVENTS_OFF
@@ -554,10 +539,10 @@ OooCore::retireStage()
             checker_->checkRetirement(head, arch, cycle_);
 
         if (head.isLoadInst()) {
-            ++loads_retired_;
+            ++stats_[S::LoadsRetired];
         } else if (head.isStoreInst()) {
             memu_->retireStore(head);
-            ++stores_retired_;
+            ++stats_[S::StoresRetired];
             // Compare the bytes that actually committed (the store-FIFO
             // slot drained into memory) against the golden image; the
             // retirement check above only sees the DynInst's own value,
@@ -565,7 +550,7 @@ OooCore::retireStage()
             if (checker_)
                 checker_->checkCommittedStore(head, mem_, cycle_);
         } else if (isControl(head.si.op)) {
-            ++branches_retired_;
+            ++stats_[S::BranchesRetired];
         }
 
         if (head.has_produced_tag) {
@@ -576,14 +561,14 @@ OooCore::retireStage()
             preg_free_.push_back(head.old_dst_preg);
 
         const bool was_halt = head.si.op == Op::HALT;
-        ++insts_retired_;
+        ++stats_[S::InstsRetired];
         last_retire_cycle_ = cycle_;
         SLF_OBS_EMIT(trace_, obs::EventKind::Retire, obs::Track::Retire,
                      head.seq, head.pc, head.addr, head.result, 0);
         finalizeLifetime(head, /*squashed=*/false);
         rob_.pop_front();
 
-        if (was_halt || insts_retired_.value() >= cfg_.max_insts) {
+        if (was_halt || stats_.value(S::InstsRetired) >= cfg_.max_insts) {
             halted_cleanly_ = was_halt;
             done_ = true;
         }
@@ -689,7 +674,7 @@ OooCore::executeAtIssue(DynInst &inst)
             return true;
 
           case MemIssueOutcome::Kind::Replay:
-            ++replays_;
+            ++stats_[S::MemReplays];
             ++inst.replays;
             inst.last_replay_reason =
                 static_cast<std::uint8_t>(out.replay_reason);
@@ -792,7 +777,6 @@ OooCore::issueStage()
 void
 OooCore::dispatchStage()
 {
-    bool stalled = false;
     for (unsigned n = 0; n < cfg_.width && rob_.fetchSize() > 0; ++n) {
         DynInst &inst = rob_.fetchFront();
         const Op op = inst.si.op;
@@ -807,18 +791,14 @@ OooCore::dispatchStage()
              sched_count_ >= cfg_.sched_entries) ||
             (has_dst && preg_free_.empty()) ||
             (isLoad(op) && !memu_->canDispatchLoad()) ||
-            (isStore(op) && !memu_->canDispatchStore())) {
-            stalled = true;
+            (isStore(op) && !memu_->canDispatchStore()))
             break;
-        }
 
         // Memory dependence prediction (may stall on tag exhaustion).
         if (is_mem) {
             auto lookup = memdep_.dispatch(inst.pc, isLoad(op), isStore(op));
-            if (!lookup) {
-                stalled = true;
+            if (!lookup)
                 break;
-            }
             if (lookup->consumed) {
                 inst.has_consumed_tag = true;
                 inst.consumed_tag = *lookup->consumed;
@@ -878,8 +858,6 @@ OooCore::dispatchStage()
             enterScheduler(inst, rob_.slotIndex(rob_.robSize() - 1));
         }
     }
-    if (stalled)
-        ++dispatch_stalls_;
 }
 
 // ---------------------------------------------------------------------
@@ -960,7 +938,7 @@ OooCore::fetchStage()
                     // Figure 4: the oracle turns 80% of would-be
                     // mispredictions into correct predictions.
                     pred_taken = actual;
-                    ++oracle_fixes_;
+                    ++stats_[S::OracleFixedMispredicts];
                 }
             }
             gshare_.updateHistory(pred_taken);
@@ -1006,7 +984,7 @@ OooCore::tick()
         clearStallBits();
     }
 
-    const std::uint64_t retired_before = insts_retired_.value();
+    const std::uint64_t retired_before = stats_.value(S::InstsRetired);
     issued_this_cycle_ = 0;
     // Batched host profiling: one timestamp per stage boundary (the
     // read that ends one section starts the next) instead of a
@@ -1025,13 +1003,13 @@ OooCore::tick()
         frame.mark(obs::ProfSection::Fetch);
     }
 
-    classifyCycle(insts_retired_.value() - retired_before);
+    classifyCycle(stats_.value(S::InstsRetired) - retired_before);
 
     if (occ_.enabled()) {
         obs::OccSnapshot snap = occSnapshot();
         snap.set(obs::OccStat::IssuedPerCycle, issued_this_cycle_);
         snap.set(obs::OccStat::RetiredPerCycle,
-                 insts_retired_.value() - retired_before);
+                 stats_.value(S::InstsRetired) - retired_before);
         occ_.sampleSnapshot(snap);
     }
 
@@ -1199,7 +1177,7 @@ OooCore::watchdogDump(const std::string &reason) const
 {
     std::ostringstream oss;
     oss << "OooCore watchdog: " << reason << " at cycle " << cycle_
-        << " (retired " << insts_retired_.value() << ")";
+        << " (retired " << stats_.value(S::InstsRetired) << ")";
     if (rob_.robSize() > 0) {
         oss << "; ROB head seq " << rob_.front().seq << " pc "
             << rob_.front().pc << " (" << disassemble(rob_.front().si)

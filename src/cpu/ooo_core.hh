@@ -55,7 +55,6 @@
 #include "pred/memdep.hh"
 #include "prog/program.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 #include "verify/fault_inject.hh"
 #include "verify/golden_checker.hh"
 
@@ -77,16 +76,19 @@ class OooCore
 
     bool finished() const { return done_; }
     Cycle cycles() const { return cycle_; }
-    std::uint64_t instsRetired() const { return insts_retired_.value(); }
+    std::uint64_t
+    instsRetired() const
+    {
+        return stats_.value(S::InstsRetired);
+    }
     double ipc() const
     {
         return cycle_ ? double(instsRetired()) / double(cycle_) : 0.0;
     }
 
     // Introspection for stats harvesting and tests.
-    StatGroup &coreStats() { return stats_; }
     /** Typed counter read (the name is compile-checked). */
-    std::uint64_t coreStat(obs::CoreStat s) const { return table_.value(s); }
+    std::uint64_t coreStat(obs::CoreStat s) const { return stats_.value(s); }
     /** Per-cycle occupancy distributions (empty unless sampling is on). */
     const obs::OccupancySet &occupancy() const { return occ_; }
     /** Slot attribution; components sum to width x cycles() exactly. */
@@ -321,20 +323,8 @@ class OooCore
     Cycle flush_penalty_until_ = 0;
 
     // --- statistics -------------------------------------------------------
-    StatGroup stats_;
-    obs::StatTable<obs::CoreStat> table_;
-    Counter &insts_retired_;
-    Counter &loads_retired_;
-    Counter &stores_retired_;
-    Counter &branches_retired_;
-    Counter &mispredicts_;
-    Counter &oracle_fixes_;
-    Counter &replays_;
-    Counter &violation_flushes_true_;
-    Counter &violation_flushes_anti_;
-    Counter &violation_flushes_output_;
-    Counter &spurious_violations_;
-    Counter &dispatch_stalls_;
+    using S = obs::CoreStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

@@ -9,17 +9,7 @@ ValueReplayUnit::ValueReplayUnit(const CoreConfig &cfg, MainMemory &mem,
                                  CacheHierarchy &caches,
                                  MemDepPredictor &memdep)
     : MemUnit(mem, caches),
-      cfg_(cfg),
-      stats_("value_replay_unit"),
-      table_(stats_),
-      sq_searches_(table_[obs::ValueReplayUnitStat::SqSearches]),
-      cam_entries_examined_(
-          table_[obs::ValueReplayUnitStat::CamEntriesExamined]),
-      forwards_(table_[obs::ValueReplayUnitStat::FullForwards]),
-      retire_replays_(table_[obs::ValueReplayUnitStat::RetireReplays]),
-      retire_violations_(table_[obs::ValueReplayUnitStat::RetireViolations]),
-      vulnerable_loads_(table_[obs::ValueReplayUnitStat::VulnerableLoads]),
-      dep_waits_(table_[obs::ValueReplayUnitStat::DepWaitReplays])
+      cfg_(cfg)
 {
     (void)memdep;   // value-based replay cannot identify the producer PC
     dep_hint_.assign(1024, 0);
@@ -70,7 +60,6 @@ ValueReplayUnit::issueLoad(DynInst &inst, bool)
     if (dep_hint_[inst.pc & 1023]) {
         for (const StoreEntry &se : sq_) {
             if (se.seq < inst.seq && !se.executed) {
-                ++dep_waits_;
                 out.kind = MemIssueOutcome::Kind::Replay;
                 out.replay_reason = ReplayReason::DepWait;
                 return out;
@@ -78,8 +67,8 @@ ValueReplayUnit::issueLoad(DynInst &inst, bool)
         }
     }
 
-    ++sq_searches_;
-    cam_entries_examined_ += sq_.size();
+    ++stats_[S::SqSearches];
+    stats_[S::CamEntriesExamined] += sq_.size();
 
     std::uint64_t value = readCommitted(inst.addr, inst.size);
     std::uint8_t fwd_mask = 0;
@@ -108,14 +97,12 @@ ValueReplayUnit::issueLoad(DynInst &inst, bool)
         }
     }
     if (fwd_mask == static_cast<std::uint8_t>((1u << inst.size) - 1)) {
-        ++forwards_;
+        ++stats_[S::FullForwards];
         caches_.accessData(inst.addr);
     } else {
         out.extra_latency = caches_.accessData(inst.addr);
     }
 
-    if (vulnerable)
-        ++vulnerable_loads_;
     inst.replay_vulnerable = vulnerable;
     out.load_value = value;
     return out;
@@ -150,7 +137,7 @@ ValueReplayUnit::retireLoad(DynInst &inst)
 
     // Replay: the load is at the ROB head, so every older store has
     // committed and the cache hierarchy is authoritative.
-    ++retire_replays_;
+    ++stats_[S::RetireReplays];
     caches_.accessData(inst.addr);
     const std::uint64_t now = readCommitted(inst.addr, inst.size);
     if (now == inst.result) {
@@ -160,7 +147,7 @@ ValueReplayUnit::retireLoad(DynInst &inst)
     // The load (still at the head, not popped) will be squashed and
     // refetched by the core. Remember its PC so later encounters wait
     // for older stores instead of speculating.
-    ++retire_violations_;
+    ++stats_[S::RetireViolations];
     dep_hint_[inst.pc & 1023] = 1;
     return false;
 }
@@ -190,7 +177,6 @@ ValueReplayUnit::squashFrom(SeqNum seq)
 void
 ValueReplayUnit::exportStats(SimResult &r) const
 {
-    using S = obs::ValueReplayUnitStat;
     r.lsq_forwards = statValue(S::FullForwards);
     r.viol_true = statValue(S::RetireViolations);
     r.cam_entries_examined = statValue(S::CamEntriesExamined);

@@ -57,14 +57,12 @@ class ValueReplayUnit : public MemUnit
         // loads, so they drive the scheduler's stall-bit clearing.
         return store_exec_count_;
     }
-    StatGroup &unitStats() override { return stats_; }
-    const StatGroup &unitStats() const override { return stats_; }
     void exportStats(SimResult &r) const override;
     void snapshotOccupancy(obs::OccSnapshot &snap) const override;
     /** Typed counter read (the name is compile-checked). */
     std::uint64_t statValue(obs::ValueReplayUnitStat s) const
     {
-        return table_.value(s);
+        return stats_.value(s);
     }
 
   private:
@@ -90,15 +88,8 @@ class ValueReplayUnit : public MemUnit
     /** Counts store executions: the event that can unblock waiters. */
     std::uint64_t store_exec_count_ = 0;
 
-    StatGroup stats_;
-    obs::StatTable<obs::ValueReplayUnitStat> table_;
-    Counter &sq_searches_;
-    Counter &cam_entries_examined_;
-    Counter &forwards_;
-    Counter &retire_replays_;
-    Counter &retire_violations_;
-    Counter &vulnerable_loads_;
-    Counter &dep_waits_;
+    using S = obs::ValueReplayUnitStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

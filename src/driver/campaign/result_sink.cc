@@ -1,6 +1,7 @@
 #include "result_sink.hh"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -17,6 +18,25 @@ namespace slf::campaign
 
 namespace
 {
+
+/** Write all of @p content to @p fd, retrying on EINTR.
+ *  @return false on a write error. */
+bool
+writeAll(int fd, const std::string &content)
+{
+    std::size_t off = 0;
+    while (off < content.size()) {
+        const ssize_t w =
+            ::write(fd, content.data() + off, content.size() - off);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        off += std::size_t(w);
+    }
+    return true;
+}
 
 /** Fixed %.6f rendering so output is platform- and locale-stable. */
 std::string
@@ -254,6 +274,21 @@ void
 ResultSink::writeFileAtomic(const std::string &path,
                             const std::string &content)
 {
+    // A FIFO or device (/dev/null, a pipe someone drains) is written in
+    // place: renaming over it would replace it with a regular file, and
+    // neither atomicity nor durability means anything for it.
+    struct stat st;
+    if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+        const int fd = ::open(path.c_str(), O_WRONLY);
+        if (fd < 0)
+            fatal("ResultSink: cannot open '" + path + "' for writing");
+        const bool ok = writeAll(fd, content);
+        ::close(fd);
+        if (!ok)
+            fatal("ResultSink: short write to '" + path + "'");
+        return;
+    }
+
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid());
 
@@ -262,18 +297,10 @@ ResultSink::writeFileAtomic(const std::string &path,
     if (fd < 0)
         fatal("ResultSink: cannot open '" + tmp + "' for writing");
 
-    std::size_t off = 0;
-    while (off < content.size()) {
-        const ssize_t w =
-            ::write(fd, content.data() + off, content.size() - off);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            fatal("ResultSink: short write to '" + tmp + "'");
-        }
-        off += std::size_t(w);
+    if (!writeAll(fd, content)) {
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        fatal("ResultSink: short write to '" + tmp + "'");
     }
 
     // fsync BEFORE rename: once the new name is visible it must point

@@ -15,7 +15,8 @@
  * a reader never observes a torn file and a crash straight after
  * writeFileAtomic returns cannot resurface the old contents (or an
  * empty file) after reboot. Error paths unlink the tmp file instead of
- * leaking it.
+ * leaking it. An existing target that is not a regular file (a FIFO,
+ * /dev/null) is written in place instead, so it stays what it is.
  */
 
 #ifndef SLFWD_DRIVER_CAMPAIGN_RESULT_SINK_HH_
@@ -94,7 +95,8 @@ class ResultSink
                               const std::vector<JobResult> &results,
                               const ScreenInfo *screen = nullptr);
 
-    /** Atomically replace @p path with @p content (tmp + rename). */
+    /** Atomically replace @p path with @p content (tmp + rename); a
+     *  FIFO or device at @p path is written in place instead. */
     static void writeFileAtomic(const std::string &path,
                                 const std::string &content);
 

@@ -115,6 +115,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -531,6 +532,11 @@ main(int argc, char **argv)
         if (fatal_jobs || timeout_jobs)
             return 3;
         return expect_failed || breach ? 4 : 0;
+    } catch (const std::invalid_argument &e) {
+        // A malformed key=value number or boolean: a usage error. The
+        // sweep is built, and so every value parsed, before any job runs.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;

@@ -1,6 +1,8 @@
 #include "runner.hh"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "backend.hh"
 #include "campaign/campaign.hh"
@@ -119,6 +121,25 @@ stripKeys(const Config &ov, const std::vector<std::string> &harness_keys)
     return out;
 }
 
+namespace
+{
+
+/** Config::getUInt narrowed to unsigned: a value that does not fit is
+ *  a std::invalid_argument naming the key, not a silent wrap. */
+unsigned
+getUnsigned(const Config &ov, const std::string &key, unsigned dflt)
+{
+    const std::uint64_t v = ov.getUInt(key, dflt);
+    if (v > std::numeric_limits<unsigned>::max()) {
+        throw std::invalid_argument("config key '" + key + "': value '" +
+                                    ov.getString(key) +
+                                    "' does not fit in 32 bits");
+    }
+    return static_cast<unsigned>(v);
+}
+
+} // namespace
+
 void
 applyOverrides(CoreConfig &cfg, const Config &ov)
 {
@@ -135,12 +156,10 @@ applyOverrides(CoreConfig &cfg, const Config &ov)
         }
     }
 
-    cfg.width = static_cast<unsigned>(ov.getUInt("width", cfg.width));
-    cfg.rob_entries =
-        static_cast<unsigned>(ov.getUInt("rob", cfg.rob_entries));
-    cfg.sched_entries =
-        static_cast<unsigned>(ov.getUInt("sched", cfg.sched_entries));
-    cfg.num_fus = static_cast<unsigned>(ov.getUInt("fus", cfg.num_fus));
+    cfg.width = getUnsigned(ov, "width", cfg.width);
+    cfg.rob_entries = getUnsigned(ov, "rob", cfg.rob_entries);
+    cfg.sched_entries = getUnsigned(ov, "sched", cfg.sched_entries);
+    cfg.num_fus = getUnsigned(ov, "fus", cfg.num_fus);
 
     if (ov.has("subsys")) {
         const std::string s = ov.getString("subsys");
@@ -155,17 +174,15 @@ applyOverrides(CoreConfig &cfg, const Config &ov)
     }
 
     cfg.sfc.sets = ov.getUInt("sfc.sets", cfg.sfc.sets);
-    cfg.sfc.assoc =
-        static_cast<unsigned>(ov.getUInt("sfc.assoc", cfg.sfc.assoc));
+    cfg.sfc.assoc = getUnsigned(ov, "sfc.assoc", cfg.sfc.assoc);
     cfg.sfc.use_flush_endpoints =
         ov.getBool("sfc.flush_endpoints", cfg.sfc.use_flush_endpoints);
-    cfg.sfc.max_flush_ranges = static_cast<unsigned>(
-        ov.getUInt("sfc.max_flush_ranges", cfg.sfc.max_flush_ranges));
+    cfg.sfc.max_flush_ranges =
+        getUnsigned(ov, "sfc.max_flush_ranges", cfg.sfc.max_flush_ranges);
     cfg.mdt.sets = ov.getUInt("mdt.sets", cfg.mdt.sets);
-    cfg.mdt.assoc =
-        static_cast<unsigned>(ov.getUInt("mdt.assoc", cfg.mdt.assoc));
-    cfg.mdt.granularity = static_cast<unsigned>(
-        ov.getUInt("mdt.granularity", cfg.mdt.granularity));
+    cfg.mdt.assoc = getUnsigned(ov, "mdt.assoc", cfg.mdt.assoc);
+    cfg.mdt.granularity =
+        getUnsigned(ov, "mdt.granularity", cfg.mdt.granularity);
     cfg.mdt.tagged = ov.getBool("mdt.tagged", cfg.mdt.tagged);
     cfg.mdt.optimized_true_recovery = ov.getBool(
         "optimized_true_recovery", cfg.mdt.optimized_true_recovery);

@@ -27,7 +27,6 @@
 
 #include "lsq/order_index.hh"
 #include "obs/stat_table.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -96,10 +95,10 @@ class Lsq
     {
         const OrderIndex::Forward f = index_.executeLoad(seq, addr, size);
         // The modelled search examines every occupied SQ entry.
-        ++sq_searches_;
-        cam_entries_examined_ += index_.storeCount();
+        ++stats_[S::SqSearches];
+        stats_[S::CamEntriesExamined] += index_.storeCount();
         if (f.mask)
-            ++forwards_;
+            ++stats_[S::Forwards];
         return LsqLoadResult{f.mask, f.value};
     }
 
@@ -132,23 +131,15 @@ class Lsq
     std::size_t storeQueueSize() const { return index_.storeCount(); }
     const LsqParams &params() const { return params_; }
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
     /** Typed counter read (the name is compile-checked). */
-    std::uint64_t statValue(obs::LsqStat s) const { return table_.value(s); }
+    std::uint64_t statValue(obs::LsqStat s) const { return stats_.value(s); }
 
   private:
     LsqParams params_;
     OrderIndex index_;
 
-    StatGroup stats_;
-    obs::StatTable<obs::LsqStat> table_;
-    Counter &lq_searches_;
-    Counter &sq_searches_;
-    Counter &cam_entries_examined_;
-    Counter &forwards_;
-    Counter &violations_;
-    Counter &silent_stores_;
+    using S = obs::LsqStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

@@ -10,10 +10,7 @@ namespace slf
 CacheArray::CacheArray(const CacheGeometry &geom)
     : geom_(geom),
       num_sets_(geom.numSets()),
-      line_shift_(std::countr_zero(std::uint64_t{geom.line_bytes})),
-      stats_(geom.name),
-      hits_(stats_.counter("hits")),
-      misses_(stats_.counter("misses"))
+      line_shift_(std::countr_zero(std::uint64_t{geom.line_bytes}))
 {
     if (geom.line_bytes == 0 ||
         (geom.line_bytes & (geom.line_bytes - 1)) != 0) {

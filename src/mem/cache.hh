@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -58,8 +57,8 @@ class CacheArray
     void invalidateAll();
 
     const CacheGeometry &geometry() const { return geom_; }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
 
   private:
     struct Way
@@ -77,9 +76,8 @@ class CacheArray
     unsigned line_shift_;
     std::vector<Way> ways_;    ///< num_sets_ * assoc, row-major by set
     std::uint64_t lru_clock_ = 0;
-    StatGroup stats_;
-    Counter &hits_;
-    Counter &misses_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
 };
 
 /**

@@ -2,17 +2,12 @@
  * @file
  * Typed statistic identifiers for every simulated structure.
  *
- * Each X-macro list below is the single source of truth for one
- * structure's counter set: the enumerator is the compile-time handle,
- * the string is the name registered in the structure's StatGroup (and
- * therefore the name that appears in toString()/mergeFrom() output).
- * Structures build a StatTable<Enum> over their StatGroup once at
- * construction; all reads and increments then go through the enum, so
- * a misspelled stat is a compile error instead of a silently-zero
- * counterValue() lookup.
- *
- * Renaming a stat here renames it everywhere at once — registration,
- * harvesting and JSON output can no longer disagree.
+ * Each enum below is one structure's counter set; kCount closes it and
+ * sizes the structure's StatTable. Increments and reads both go
+ * through the enumerator, so a misspelled stat is a compile error.
+ * The counters carry no names: the run's results leave the structures
+ * through the typed reads (statValue(), OooCore::coreStat()), and
+ * SimResult names, merges and renders them from there.
  */
 
 #ifndef SLFWD_OBS_STAT_IDS_HH_
@@ -21,141 +16,128 @@
 namespace slf::obs
 {
 
-#define SLF_STAT_MEMBER(sym, str) sym,
-#define SLF_STAT_CASE(sym, str)                                         \
-  case E::sym:                                                          \
-    return str;
+/** Core pipeline. */
+enum class CoreStat : unsigned
+{
+    InstsRetired,
+    LoadsRetired,
+    StoresRetired,
+    BranchesRetired,
+    BranchMispredicts,
+    OracleFixedMispredicts,
+    MemReplays,
+    ViolationFlushesTrue,
+    ViolationFlushesAnti,
+    ViolationFlushesOutput,
+    SpuriousViolations,
+    kCount
+};
 
-/** Define `enum class EnumName` plus a constexpr statName() overload
- *  from an X-macro LIST of (enumerator, registered-name) pairs. */
-#define SLF_DEFINE_STAT_ENUM(EnumName, LIST)                            \
-    enum class EnumName : unsigned                                      \
-    {                                                                   \
-        LIST(SLF_STAT_MEMBER) kCount                                    \
-    };                                                                  \
-    constexpr const char *statName(EnumName s)                          \
-    {                                                                   \
-        using E = EnumName;                                             \
-        switch (s) {                                                    \
-            LIST(SLF_STAT_CASE)                                         \
-          case E::kCount:                                               \
-            break;                                                      \
-        }                                                               \
-        return "?";                                                     \
-    }
+/** Memory disambiguation table. */
+enum class MdtStat : unsigned
+{
+    Accesses,
+    SetConflicts,
+    ViolationsTrue,
+    ViolationsAnti,
+    ViolationsOutput,
+    ScavengedEntries,
+    OptimizedTrueRecoveries,
+    kCount
+};
 
-// --- core pipeline ("core" group) ------------------------------------
-#define SLF_CORE_STAT_LIST(X)                                           \
-    X(InstsRetired, "insts_retired")                                    \
-    X(LoadsRetired, "loads_retired")                                    \
-    X(StoresRetired, "stores_retired")                                  \
-    X(BranchesRetired, "branches_retired")                              \
-    X(BranchMispredicts, "branch_mispredicts")                          \
-    X(OracleFixedMispredicts, "oracle_fixed_mispredicts")               \
-    X(MemReplays, "mem_replays")                                        \
-    X(ViolationFlushesTrue, "violation_flushes_true")                   \
-    X(ViolationFlushesAnti, "violation_flushes_anti")                   \
-    X(ViolationFlushesOutput, "violation_flushes_output")               \
-    X(SpuriousViolations, "spurious_violations")                        \
-    X(DispatchStallCycles, "dispatch_stall_cycles")
-SLF_DEFINE_STAT_ENUM(CoreStat, SLF_CORE_STAT_LIST)
+/** Store forwarding cache. */
+enum class SfcStat : unsigned
+{
+    StoreWrites,
+    LoadReads,
+    FullMatches,
+    CorruptHits,
+    SetConflicts,
+    PartialFlushes,
+    kCount
+};
 
-// --- MDT ("mdt" group) ------------------------------------------------
-#define SLF_MDT_STAT_LIST(X)                                            \
-    X(Accesses, "accesses")                                             \
-    X(SetConflicts, "set_conflicts")                                    \
-    X(ViolationsTrue, "violations_true")                                \
-    X(ViolationsAnti, "violations_anti")                                \
-    X(ViolationsOutput, "violations_output")                            \
-    X(ScavengedEntries, "scavenged_entries")                            \
-    X(OptimizedTrueRecoveries, "optimized_true_recoveries")
-SLF_DEFINE_STAT_ENUM(MdtStat, SLF_MDT_STAT_LIST)
+/** Store FIFO. */
+enum class StoreFifoStat : unsigned
+{
+    Squashed,
+    PayloadFaults,
+    kCount
+};
 
-// --- SFC ("sfc" group) ------------------------------------------------
-#define SLF_SFC_STAT_LIST(X)                                            \
-    X(StoreWrites, "store_writes")                                      \
-    X(LoadReads, "load_reads")                                          \
-    X(FullMatches, "full_matches")                                      \
-    X(PartialMatches, "partial_matches")                                \
-    X(CorruptHits, "corrupt_hits")                                      \
-    X(SetConflicts, "set_conflicts")                                    \
-    X(PartialFlushes, "partial_flushes")                                \
-    X(ScavengedEntries, "scavenged_entries")
-SLF_DEFINE_STAT_ENUM(SfcStat, SLF_SFC_STAT_LIST)
+/** Idealized LSQ. */
+enum class LsqStat : unsigned
+{
+    LqSearches,
+    SqSearches,
+    CamEntriesExamined,
+    Forwards,
+    ViolationsTrue,
+    SilentStoreFiltered,
+    kCount
+};
 
-// --- store FIFO ("store_fifo" group) ----------------------------------
-#define SLF_STORE_FIFO_STAT_LIST(X)                                     \
-    X(Allocated, "allocated")                                           \
-    X(Retired, "retired")                                               \
-    X(Squashed, "squashed")                                             \
-    X(PayloadFaults, "payload_faults")
-SLF_DEFINE_STAT_ENUM(StoreFifoStat, SLF_STORE_FIFO_STAT_LIST)
+/** Memory dependence predictor. */
+enum class MemDepStat : unsigned
+{
+    ViolationsTrue,
+    ViolationsAnti,
+    ViolationsOutput,
+    DepsInserted,
+    kCount
+};
 
-// --- idealized LSQ ("lsq" group) --------------------------------------
-#define SLF_LSQ_STAT_LIST(X)                                            \
-    X(LqSearches, "lq_searches")                                        \
-    X(SqSearches, "sq_searches")                                        \
-    X(CamEntriesExamined, "cam_entries_examined")                       \
-    X(Forwards, "forwards")                                             \
-    X(ViolationsTrue, "violations_true")                                \
-    X(SilentStoreFiltered, "silent_store_filtered")
-SLF_DEFINE_STAT_ENUM(LsqStat, SLF_LSQ_STAT_LIST)
+/** MDT/SFC memory unit. */
+enum class MdtSfcUnitStat : unsigned
+{
+    LoadReplaysSfcCorrupt,
+    LoadReplaysSfcPartial,
+    LoadReplaysMdtConflict,
+    StoreReplaysSfcConflict,
+    StoreReplaysMdtConflict,
+    SfcForwards,
+    HeadBypasses,
+    kCount
+};
 
-// --- memory dependence predictor ("memdep" group) ---------------------
-#define SLF_MEMDEP_STAT_LIST(X)                                         \
-    X(ViolationsTrue, "violations_true")                                \
-    X(ViolationsAnti, "violations_anti")                                \
-    X(ViolationsOutput, "violations_output")                            \
-    X(DepsInserted, "deps_inserted")                                    \
-    X(TagExhaustionStalls, "tag_exhaustion_stalls")
-SLF_DEFINE_STAT_ENUM(MemDepStat, SLF_MEMDEP_STAT_LIST)
+/** Idealized LSQ memory unit. */
+enum class LsqUnitStat : unsigned
+{
+    FullForwards,
+    kCount
+};
 
-// --- MDT/SFC memory unit ("mdtsfc_unit" group) ------------------------
-#define SLF_MDTSFC_UNIT_STAT_LIST(X)                                    \
-    X(LoadReplaysSfcCorrupt, "load_replays_sfc_corrupt")                \
-    X(LoadReplaysSfcPartial, "load_replays_sfc_partial")                \
-    X(LoadReplaysMdtConflict, "load_replays_mdt_conflict")              \
-    X(StoreReplaysSfcConflict, "store_replays_sfc_conflict")            \
-    X(StoreReplaysMdtConflict, "store_replays_mdt_conflict")            \
-    X(SfcForwards, "sfc_forwards")                                      \
-    X(HeadBypasses, "head_bypasses")                                    \
-    X(OutputCorruptRecoveries, "output_corrupt_recoveries")
-SLF_DEFINE_STAT_ENUM(MdtSfcUnitStat, SLF_MDTSFC_UNIT_STAT_LIST)
+/** Value-replay memory unit. */
+enum class ValueReplayUnitStat : unsigned
+{
+    SqSearches,
+    CamEntriesExamined,
+    FullForwards,
+    RetireReplays,
+    RetireViolations,
+    kCount
+};
 
-// --- idealized LSQ memory unit ("lsq_unit" group) ---------------------
-#define SLF_LSQ_UNIT_STAT_LIST(X)                                       \
-    X(FullForwards, "full_forwards")
-SLF_DEFINE_STAT_ENUM(LsqUnitStat, SLF_LSQ_UNIT_STAT_LIST)
+/** Golden checker. */
+enum class CheckerStat : unsigned
+{
+    RetirementsChecked,
+    Failures,
+    FailuresStoreCommit,
+    SquashesSeen,
+    kCount
+};
 
-// --- value-replay memory unit ("value_replay_unit" group) -------------
-#define SLF_VALUE_REPLAY_UNIT_STAT_LIST(X)                              \
-    X(SqSearches, "sq_searches")                                        \
-    X(CamEntriesExamined, "cam_entries_examined")                       \
-    X(FullForwards, "full_forwards")                                    \
-    X(RetireReplays, "retire_replays")                                  \
-    X(RetireViolations, "retire_violations")                            \
-    X(VulnerableLoads, "vulnerable_loads")                              \
-    X(DepWaitReplays, "dep_wait_replays")
-SLF_DEFINE_STAT_ENUM(ValueReplayUnitStat, SLF_VALUE_REPLAY_UNIT_STAT_LIST)
-
-// --- golden checker ("checker" group) ---------------------------------
-#define SLF_CHECKER_STAT_LIST(X)                                        \
-    X(RetirementsChecked, "retirements_checked")                        \
-    X(Failures, "failures")                                             \
-    X(FailuresStoreCommit, "failures_store_commit")                     \
-    X(FinalMemoryChecks, "final_memory_checks")                         \
-    X(SquashesSeen, "squashes_seen")
-SLF_DEFINE_STAT_ENUM(CheckerStat, SLF_CHECKER_STAT_LIST)
-
-// --- fault injector ("fault_inject" group) ----------------------------
-#define SLF_FAULT_STAT_LIST(X)                                          \
-    X(SfcMaskFaults, "sfc_mask_faults")                                 \
-    X(SfcDataFaults, "sfc_data_faults")                                 \
-    X(MdtEvictFaults, "mdt_evict_faults")                               \
-    X(FifoPayloadFaults, "fifo_payload_faults")
-SLF_DEFINE_STAT_ENUM(FaultStat, SLF_FAULT_STAT_LIST)
-
-#undef SLF_DEFINE_STAT_ENUM
+/** Fault injector. */
+enum class FaultStat : unsigned
+{
+    SfcMaskFaults,
+    SfcDataFaults,
+    MdtEvictFaults,
+    FifoPayloadFaults,
+    kCount
+};
 
 } // namespace slf::obs
 

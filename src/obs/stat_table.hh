@@ -1,17 +1,12 @@
 /**
  * @file
- * StatTable: the typed face of a StatGroup.
+ * StatTable: a structure's counters, indexed by its stat enum.
  *
- * A StatTable<Enum> registers every stat named in the enum's X-macro
- * list into a StatGroup once, at construction, and stores the stable
- * Counter references in an enum-indexed array. Hot paths increment
- * through operator[] (an array index, no map lookup); harvesting reads
- * through value(). Because the only way to reach a counter is the enum,
- * an unknown stat name is a compile error — the stringly-typed
- * counterValue("...") pattern this replaces silently returned 0.
- *
- * The underlying StatGroup keeps its string-keyed map, so mergeFrom(),
- * toString() and the campaign shard aggregation are unchanged.
+ * A StatTable<Enum> owns one std::uint64_t per enumerator, all zero at
+ * construction. Hot paths increment in place (`++stats_[S::X]`, an
+ * array index into the owning object); harvesting reads through
+ * value(). The only way to reach a counter is the enum, so an unknown
+ * stat is a compile error.
  */
 
 #ifndef SLFWD_OBS_STAT_TABLE_HH_
@@ -22,7 +17,6 @@
 #include <cstdint>
 
 #include "obs/stat_ids.hh"
-#include "sim/stats.hh"
 
 namespace slf::obs
 {
@@ -34,24 +28,15 @@ class StatTable
     static constexpr std::size_t kCount =
         static_cast<std::size_t>(Enum::kCount);
 
-    /** Register every stat of @p Enum in @p group (get-or-create, so
-     *  re-registration is harmless) and cache the references. */
-    explicit StatTable(StatGroup &group)
-    {
-        for (std::size_t i = 0; i < kCount; ++i)
-            slots_[i] = &group.counter(statName(static_cast<Enum>(i)));
-    }
-
-    Counter &operator[](Enum e) { return *slots_[index(e)]; }
-    const Counter &operator[](Enum e) const { return *slots_[index(e)]; }
+    std::uint64_t &operator[](Enum e) { return counts_[index(e)]; }
 
     /** Typed read of one counter's value. */
-    std::uint64_t value(Enum e) const { return (*this)[e].value(); }
+    std::uint64_t value(Enum e) const { return counts_[index(e)]; }
 
   private:
     static std::size_t index(Enum e) { return static_cast<std::size_t>(e); }
 
-    std::array<Counter *, kCount> slots_{};
+    std::array<std::uint64_t, kCount> counts_{};
 };
 
 } // namespace slf::obs

@@ -8,7 +8,6 @@ namespace slf
 {
 
 GsharePredictor::GsharePredictor(unsigned table_bits, unsigned history_bits)
-    : stats_("gshare")
 {
     const std::uint64_t entries = table_bits / 2;
     if (entries == 0 || (entries & (entries - 1)) != 0)

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -53,8 +52,6 @@ class GsharePredictor
      */
     void train(std::uint64_t pc, std::uint16_t h, bool taken);
 
-    StatGroup &stats() { return stats_; }
-
   private:
     std::uint64_t index(std::uint64_t pc, std::uint16_t h) const;
 
@@ -62,7 +59,6 @@ class GsharePredictor
     std::uint64_t mask_;
     std::uint16_t history_ = 0;
     std::uint16_t history_mask_;
-    StatGroup stats_;
 };
 
 } // namespace slf

@@ -8,14 +8,7 @@ namespace slf
 {
 
 MemDepPredictor::MemDepPredictor(const MemDepParams &params)
-    : params_(params),
-      stats_("memdep"),
-      table_(stats_),
-      violations_true_(table_[obs::MemDepStat::ViolationsTrue]),
-      violations_anti_(table_[obs::MemDepStat::ViolationsAnti]),
-      violations_output_(table_[obs::MemDepStat::ViolationsOutput]),
-      deps_inserted_(table_[obs::MemDepStat::DepsInserted]),
-      tag_exhaustion_(table_[obs::MemDepStat::TagExhaustionStalls])
+    : params_(params)
 {
     auto pow2 = [](std::uint64_t v) { return v && !(v & (v - 1)); };
     if (!pow2(params.table_entries) || !pow2(params.lfpt_entries))
@@ -84,10 +77,8 @@ MemDepPredictor::dispatch(std::uint64_t pc, bool is_load, bool is_store)
     }
 
     if (may_produce && pt_[idx] != kInvalidSet) {
-        if (free_tags_.empty()) {
-            ++tag_exhaustion_;
+        if (free_tags_.empty())
             return std::nullopt;
-        }
         DepTag tag = free_tags_.back();
         free_tags_.pop_back();
         const std::uint64_t slot = lfptIndex(pt_[idx]);
@@ -140,7 +131,7 @@ MemDepPredictor::assignSets(std::uint64_t producer_pc,
     if (consumer_also_produces)
         pt_[c_idx] = set;
 
-    ++deps_inserted_;
+    ++stats_[S::DepsInserted];
 }
 
 void
@@ -148,9 +139,9 @@ MemDepPredictor::reportViolation(std::uint64_t producer_pc,
                                  std::uint64_t consumer_pc, DepKind kind)
 {
     switch (kind) {
-      case DepKind::True: ++violations_true_; break;
-      case DepKind::Anti: ++violations_anti_; break;
-      case DepKind::Output: ++violations_output_; break;
+      case DepKind::True: ++stats_[S::ViolationsTrue]; break;
+      case DepKind::Anti: ++stats_[S::ViolationsAnti]; break;
+      case DepKind::Output: ++stats_[S::ViolationsOutput]; break;
     }
 
     if (!trains(kind))

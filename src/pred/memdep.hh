@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "obs/stat_table.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -126,11 +125,10 @@ class MemDepPredictor
     /** Clear all predictor state (tables and LFPT), keeping the mode. */
     void reset();
 
-    StatGroup &stats() { return stats_; }
     /** Typed counter read (the name is compile-checked). */
     std::uint64_t statValue(obs::MemDepStat s) const
     {
-        return table_.value(s);
+        return stats_.value(s);
     }
 
   private:
@@ -164,13 +162,8 @@ class MemDepPredictor
 
     std::uint32_t next_set_id_ = 0;
 
-    StatGroup stats_;
-    obs::StatTable<obs::MemDepStat> table_;
-    Counter &violations_true_;
-    Counter &violations_anti_;
-    Counter &violations_output_;
-    Counter &deps_inserted_;
-    Counter &tag_exhaustion_;
+    using S = obs::MemDepStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

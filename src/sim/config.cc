@@ -1,10 +1,38 @@
 #include "config.hh"
 
+#include <cctype>
 #include <sstream>
 #include <stdexcept>
 
 namespace slf
 {
+
+namespace
+{
+
+/**
+ * Run @p parse (a std::sto* call) over the whole of @p s. A parse that
+ * throws, or stops short of the end, is a std::invalid_argument naming
+ * @p key and the value.
+ */
+template <typename Parse>
+auto
+parseWhole(const std::string &key, const std::string &s, const char *what,
+           Parse parse) -> decltype(parse(s, nullptr))
+{
+    std::size_t pos = 0;
+    try {
+        const auto v = parse(s, &pos);
+        if (!s.empty() && pos == s.size())
+            return v;
+    } catch (const std::logic_error &) {
+        // invalid_argument (no digits) or out_of_range: reported below.
+    }
+    throw std::invalid_argument("config key '" + key + "': bad " + what +
+                                " '" + s + "'");
+}
+
+} // namespace
 
 void
 Config::set(const std::string &key, const std::string &value)
@@ -58,13 +86,10 @@ Config::getInt(const std::string &key, std::int64_t dflt) const
     auto it = values_.find(key);
     if (it == values_.end())
         return dflt;
-    size_t pos = 0;
-    std::int64_t v = std::stoll(it->second, &pos, 0);
-    if (pos != it->second.size()) {
-        throw std::invalid_argument(
-            "config key '" + key + "': bad integer '" + it->second + "'");
-    }
-    return v;
+    return parseWhole(key, it->second, "integer",
+                      [](const std::string &s, std::size_t *pos) {
+                          return std::int64_t{std::stoll(s, pos, 0)};
+                      });
 }
 
 std::uint64_t
@@ -73,13 +98,14 @@ Config::getUInt(const std::string &key, std::uint64_t dflt) const
     auto it = values_.find(key);
     if (it == values_.end())
         return dflt;
-    size_t pos = 0;
-    std::uint64_t v = std::stoull(it->second, &pos, 0);
-    if (pos != it->second.size()) {
-        throw std::invalid_argument(
-            "config key '" + key + "': bad integer '" + it->second + "'");
-    }
-    return v;
+    return parseWhole(key, it->second, "integer",
+                      [](const std::string &s, std::size_t *pos) {
+                          // stoull skips blanks and takes a sign ("-5"
+                          // wraps to 2^64-5): demand a leading digit.
+                          if (!std::isdigit(static_cast<unsigned char>(s[0])))
+                              return std::uint64_t{0};
+                          return std::uint64_t{std::stoull(s, pos, 0)};
+                      });
 }
 
 bool
@@ -103,13 +129,10 @@ Config::getDouble(const std::string &key, double dflt) const
     auto it = values_.find(key);
     if (it == values_.end())
         return dflt;
-    size_t pos = 0;
-    double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) {
-        throw std::invalid_argument(
-            "config key '" + key + "': bad number '" + it->second + "'");
-    }
-    return v;
+    return parseWhole(key, it->second, "number",
+                      [](const std::string &s, std::size_t *pos) {
+                          return std::stod(s, pos);
+                      });
 }
 
 bool

@@ -1,40 +1,17 @@
 /**
  * @file
- * Named statistics registry: scalar counters, distributions and derived
- * formulas, in the spirit of gem5's stats package but deliberately small.
- *
- * Every simulated structure owns a StatGroup; the simulation driver
- * harvests all groups into a flat report at end of run.
+ * Distribution: an accumulating count/sum/min/max sample summary, the
+ * storage of the per-cycle occupancy statistics (obs/occupancy.hh).
+ * Scalar counters live in their owners' obs::StatTable.
  */
 
 #ifndef SLFWD_SIM_STATS_HH_
 #define SLFWD_SIM_STATS_HH_
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace slf
 {
-
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void operator++() { ++value_; }
-    void operator++(int) { ++value_; }
-    void operator+=(std::uint64_t n) { value_ += n; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** Simple accumulating distribution (count/sum/min/max). */
 class Distribution
@@ -96,59 +73,6 @@ class Distribution
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = 0;
     std::uint64_t max_ = 0;
-};
-
-/**
- * A named collection of counters and distributions.
- *
- * Storage is a flat slot pool: members live in deques (stable
- * addresses, contiguous chunks) and the string->slot maps are consulted
- * only at registration and export time. Hot paths cache references
- * (Counter &) at construction, so a counter bump is a plain in-place
- * increment with no string traffic anywhere near it.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    const std::string &name() const { return name_; }
-
-    /** Get-or-create a counter. The reference stays valid forever. */
-    Counter &counter(const std::string &stat_name);
-
-    /** Get-or-create a distribution. */
-    Distribution &distribution(const std::string &stat_name);
-
-    /** Read a counter's value; 0 if absent. */
-    std::uint64_t counterValue(const std::string &stat_name) const;
-
-    /** All counters, sorted by name. */
-    std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-
-    /** Reset every member to zero. */
-    void reset();
-
-    /**
-     * Fold another group's members into this one: counters add,
-     * distributions merge, members absent here are created. Merging K
-     * shard groups yields the same totals as one combined group, in
-     * any merge order.
-     */
-    void mergeFrom(const StatGroup &other);
-
-    /** Render "group.stat value" lines. */
-    std::string toString() const;
-
-  private:
-    std::string name_;
-    /** Flat slot pools; deque = stable references across growth. */
-    std::deque<Counter> counter_slots_;
-    std::deque<Distribution> dist_slots_;
-    /** Name -> slot index, touched only at registration/export. The
-     *  sorted map keys give export its canonical (name-sorted) order. */
-    std::map<std::string, std::size_t> counter_index_;
-    std::map<std::string, std::size_t> dist_index_;
 };
 
 } // namespace slf

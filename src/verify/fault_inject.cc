@@ -9,13 +9,7 @@ namespace slf
 
 FaultInjector::FaultInjector(const FaultInjectParams &params)
     : params_(params),
-      rng_(params.seed),
-      stats_("fault_inject"),
-      table_(stats_),
-      sfc_mask_faults_(table_[obs::FaultStat::SfcMaskFaults]),
-      sfc_data_faults_(table_[obs::FaultStat::SfcDataFaults]),
-      mdt_evict_faults_(table_[obs::FaultStat::MdtEvictFaults]),
-      fifo_payload_faults_(table_[obs::FaultStat::FifoPayloadFaults])
+      rng_(params.seed)
 {}
 
 void
@@ -23,17 +17,17 @@ FaultInjector::onSfcAccess(Sfc &sfc)
 {
     if (params_.sfc_mask_rate > 0.0 && rng_.chance(params_.sfc_mask_rate) &&
         sfc.injectCorruptMask(rng_)) {
-        ++sfc_mask_faults_;
+        ++stats_[S::SfcMaskFaults];
         SLF_OBS_EMIT(trace_, obs::EventKind::FaultInject, obs::Track::Verify,
-                     0, 0, 0, sfc_mask_faults_.value(),
+                     0, 0, 0, stats_.value(S::SfcMaskFaults),
                      obs::FaultDetail::SfcMask);
     }
     if (params_.sfc_data_rate > 0.0 && rng_.chance(params_.sfc_data_rate) &&
         sfc.injectDataClobber(rng_,
                               static_cast<std::uint8_t>(rng_.next()))) {
-        ++sfc_data_faults_;
+        ++stats_[S::SfcDataFaults];
         SLF_OBS_EMIT(trace_, obs::EventKind::FaultInject, obs::Track::Verify,
-                     0, 0, 0, sfc_data_faults_.value(),
+                     0, 0, 0, stats_.value(S::SfcDataFaults),
                      obs::FaultDetail::SfcData);
     }
 }
@@ -43,9 +37,9 @@ FaultInjector::onMdtAccess(Mdt &mdt)
 {
     if (params_.mdt_evict_rate > 0.0 &&
         rng_.chance(params_.mdt_evict_rate) && mdt.injectEviction(rng_)) {
-        ++mdt_evict_faults_;
+        ++stats_[S::MdtEvictFaults];
         SLF_OBS_EMIT(trace_, obs::EventKind::FaultInject, obs::Track::Verify,
-                     0, 0, 0, mdt_evict_faults_.value(),
+                     0, 0, 0, stats_.value(S::MdtEvictFaults),
                      obs::FaultDetail::MdtEvict);
     }
 }
@@ -60,9 +54,9 @@ FaultInjector::onStoreRetire(unsigned size)
     const std::uint64_t byte_mask =
         size >= 8 ? ~std::uint64_t{0}
                   : ((std::uint64_t{1} << (8 * size)) - 1);
-    ++fifo_payload_faults_;
+    ++stats_[S::FifoPayloadFaults];
     SLF_OBS_EMIT(trace_, obs::EventKind::FaultInject, obs::Track::Verify,
-                 0, 0, 0, fifo_payload_faults_.value(),
+                 0, 0, 0, stats_.value(S::FifoPayloadFaults),
                  obs::FaultDetail::FifoPayload);
     // Bit 0 is always flipped so the stored value provably changes.
     return (rng_.next() & byte_mask) | 1;

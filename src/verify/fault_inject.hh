@@ -32,7 +32,6 @@
 #include "obs/hooks.hh"
 #include "obs/stat_table.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 
 namespace slf
 {
@@ -86,20 +85,25 @@ class FaultInjector
 
     const FaultInjectParams &params() const { return params_; }
 
-    std::uint64_t sfcMaskFaults() const { return sfc_mask_faults_.value(); }
-    std::uint64_t sfcDataFaults() const { return sfc_data_faults_.value(); }
-    std::uint64_t mdtEvictFaults() const { return mdt_evict_faults_.value(); }
+    std::uint64_t
+    sfcMaskFaults() const
+    {
+        return stats_.value(S::SfcMaskFaults);
+    }
+    std::uint64_t
+    sfcDataFaults() const
+    {
+        return stats_.value(S::SfcDataFaults);
+    }
+    std::uint64_t
+    mdtEvictFaults() const
+    {
+        return stats_.value(S::MdtEvictFaults);
+    }
     std::uint64_t
     fifoPayloadFaults() const
     {
-        return fifo_payload_faults_.value();
-    }
-
-    StatGroup &stats() { return stats_; }
-    /** Typed counter read (the name is compile-checked). */
-    std::uint64_t statValue(obs::FaultStat s) const
-    {
-        return table_.value(s);
+        return stats_.value(S::FifoPayloadFaults);
     }
 
     /** Attach an event sink; each injected fault emits a FaultInject. */
@@ -110,12 +114,8 @@ class FaultInjector
     Rng rng_;
     obs::TraceSink *trace_ = nullptr;
 
-    StatGroup stats_;
-    obs::StatTable<obs::FaultStat> table_;
-    Counter &sfc_mask_faults_;
-    Counter &sfc_data_faults_;
-    Counter &mdt_evict_faults_;
-    Counter &fifo_payload_faults_;
+    using S = obs::FaultStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

@@ -46,14 +46,7 @@ CheckFailure::toString() const
 }
 
 GoldenChecker::GoldenChecker(const Program &prog, bool abort_on_divergence)
-    : abort_on_divergence_(abort_on_divergence),
-      stats_("golden_checker"),
-      table_(stats_),
-      checked_(table_[obs::CheckerStat::RetirementsChecked]),
-      failures_(table_[obs::CheckerStat::Failures]),
-      store_commit_failures_(table_[obs::CheckerStat::FailuresStoreCommit]),
-      final_checks_(table_[obs::CheckerStat::FinalMemoryChecks]),
-      squashes_seen_(table_[obs::CheckerStat::SquashesSeen])
+    : abort_on_divergence_(abort_on_divergence)
 {
     golden_.mem.loadInitialImage(prog);
 }
@@ -62,7 +55,7 @@ void
 GoldenChecker::noteSquash(Cycle cycle, SeqNum from, std::uint64_t count,
                           const char *reason)
 {
-    ++squashes_seen_;
+    ++stats_[S::SquashesSeen];
     squashes_.push_back(SquashEvent{cycle, from, count, reason});
     if (squashes_.size() > kSquashHistory)
         squashes_.pop_front();
@@ -90,12 +83,12 @@ GoldenChecker::report(CheckFailure f)
 {
     f.golden_state = golden_.toString();
     f.squash_history = squashHistoryString();
-    ++failures_;
+    ++stats_[S::Failures];
     SLF_OBS_EMIT(trace_, obs::EventKind::CheckerFail, obs::Track::Verify,
                  f.seq, f.pc, f.addr, f.expected ^ f.actual,
                  static_cast<obs::CheckerDetail>(f.kind));
     if (f.kind == CheckFailure::Kind::StoreCommit)
-        ++store_commit_failures_;
+        ++stats_[S::FailuresStoreCommit];
     if (abort_on_divergence_)
         panic(f.toString());
     if (reports_.size() < kMaxReports)
@@ -107,7 +100,7 @@ GoldenChecker::checkRetirement(const DynInst &inst, const RetireRecord &g,
                                Cycle cycle)
 {
     golden_.apply(g);
-    ++checked_;
+    ++stats_[S::RetirementsChecked];
 
     // Failure reports are built lazily: disassembly and field copies
     // happen only on an actual divergence, keeping the per-retirement
@@ -182,7 +175,6 @@ GoldenChecker::checkCommittedStore(const DynInst &inst,
 void
 GoldenChecker::checkFinalMemory(const MainMemory &mem, Cycle cycle)
 {
-    ++final_checks_;
     const auto diff = golden_.mem.firstDifference(mem);
     if (!diff)
         return;

@@ -35,7 +35,6 @@
 #include "obs/hooks.hh"
 #include "obs/stat_table.hh"
 #include "prog/program.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace slf
@@ -105,23 +104,26 @@ class GoldenChecker
     /** End of a fully drained run: compare whole memory images. */
     void checkFinalMemory(const MainMemory &mem, Cycle cycle);
 
-    bool clean() const { return failures_.value() == 0; }
-    std::uint64_t retirementsChecked() const { return checked_.value(); }
-    std::uint64_t failureCount() const { return failures_.value(); }
+    bool clean() const { return stats_.value(S::Failures) == 0; }
+    std::uint64_t
+    retirementsChecked() const
+    {
+        return stats_.value(S::RetirementsChecked);
+    }
+    std::uint64_t failureCount() const { return stats_.value(S::Failures); }
     std::uint64_t
     storeCommitFailures() const
     {
-        return store_commit_failures_.value();
+        return stats_.value(S::FailuresStoreCommit);
     }
 
     /** Structured reports (capped at kMaxReports; counters are not). */
     const std::vector<CheckFailure> &reports() const { return reports_; }
 
-    StatGroup &stats() { return stats_; }
     /** Typed counter read (the name is compile-checked). */
     std::uint64_t statValue(obs::CheckerStat s) const
     {
-        return table_.value(s);
+        return stats_.value(s);
     }
 
     /** Attach an event sink; divergences emit CheckerFail events. */
@@ -151,13 +153,8 @@ class GoldenChecker
     std::vector<CheckFailure> reports_;
     obs::TraceSink *trace_ = nullptr;
 
-    StatGroup stats_;
-    obs::StatTable<obs::CheckerStat> table_;
-    Counter &checked_;
-    Counter &failures_;
-    Counter &store_commit_failures_;
-    Counter &final_checks_;
-    Counter &squashes_seen_;
+    using S = obs::CheckerStat;
+    obs::StatTable<S> stats_;
 };
 
 } // namespace slf

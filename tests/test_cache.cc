@@ -84,8 +84,8 @@ TEST(CacheArray, StatsCountHitsAndMisses)
     c.access(0x0000);
     c.access(0x0000);
     c.access(0x0040);
-    EXPECT_EQ(c.stats().counterValue("hits"), 1u);
-    EXPECT_EQ(c.stats().counterValue("misses"), 2u);
+    EXPECT_EQ(c.hits(), 1u);
+    EXPECT_EQ(c.misses(), 2u);
 }
 
 TEST(CacheArray, RejectsNonPowerOfTwoLine)

@@ -55,6 +55,19 @@ TEST(Config, MalformedIntegerThrows)
     EXPECT_THROW(c.getUInt("k", 0), std::invalid_argument);
 }
 
+TEST(Config, NonNumericSignedOrOverflowingUIntThrows)
+{
+    Config c;
+    for (const char *v :
+         {"abc", "", "-5", "+5", " 5", "99999999999999999999"}) {
+        c.set("k", v);
+        EXPECT_THROW(c.getUInt("k", 0), std::invalid_argument) << v;
+    }
+    c.set("k", "abc");
+    EXPECT_THROW(c.getInt("k", 0), std::invalid_argument);
+    EXPECT_THROW(c.getDouble("k", 0.0), std::invalid_argument);
+}
+
 TEST(Config, MalformedBoolThrows)
 {
     Config c;

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +36,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.hh"
@@ -630,6 +633,53 @@ TEST(CrashRecovery, KillBeforeRenameLeavesTargetIntact)
     EXPECT_EQ(slurp(target), "new contents\n");
     std::remove(target.c_str());
     std::remove((target + ".tmp." + std::to_string(pid)).c_str());
+}
+
+TEST(CrashRecovery, FifoTargetIsWrittenInPlace)
+{
+    // `--out /dev/null` or `--out <fifo>` must stream into the node,
+    // not rename a regular file over it.
+    const std::string fifo = tmpPath("out.fifo");
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+    // Open the read end first (non-blocking, then switch to blocking)
+    // and hold a spare write end, so the reader sees EOF only once the
+    // test closes it, whether or not the sink ever opened the FIFO.
+    const int rfd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(rfd, 0);
+    ASSERT_EQ(::fcntl(rfd, F_SETFL, 0), 0);
+    const int keep = ::open(fifo.c_str(), O_WRONLY);
+    ASSERT_GE(keep, 0);
+
+    std::string got;
+    std::thread reader([&] {
+        char buf[4096];
+        ssize_t n;
+        while ((n = ::read(rfd, buf, sizeof(buf))) > 0)
+            got.append(buf, std::size_t(n));
+    });
+
+    // Larger than a pipe buffer: the write only finishes if the reader
+    // drains it concurrently.
+    const std::string content(256 * 1024, 'x');
+    bool threw = false;
+    try {
+        ResultSink::writeFileAtomic(fifo, content);
+    } catch (const FatalError &) {
+        threw = true;
+    }
+    ::close(keep);
+    reader.join();
+    ::close(rfd);
+
+    EXPECT_FALSE(threw);
+    EXPECT_EQ(got.size(), content.size());
+    EXPECT_TRUE(got == content);
+    struct stat st;
+    ASSERT_EQ(::stat(fifo.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISFIFO(st.st_mode));
+    std::remove(fifo.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -103,7 +103,7 @@ TEST_F(LsqFixture, SilentStoreNotFlagged)
     // The store writes the value the load already obtained: silent.
     const auto v = lsq.executeStore(1, 0x100, 8, 0x1234);
     EXPECT_FALSE(v.has_value());
-    EXPECT_EQ(lsq.stats().counterValue("silent_store_filtered"), 1u);
+    EXPECT_EQ(lsq.statValue(obs::LsqStat::SilentStoreFiltered), 1u);
 }
 
 TEST_F(LsqFixture, InterveningStoreSuppressesViolation)
@@ -209,9 +209,9 @@ TEST_F(LsqFixture, CamActivityCountsGrow)
     lsq.dispatchLoad(2, 20);
     lsq.executeStore(1, 0x100, 8, 1);
     lsq.executeLoad(2, 0x100, 8);
-    EXPECT_EQ(lsq.stats().counterValue("sq_searches"), 1u);
-    EXPECT_EQ(lsq.stats().counterValue("lq_searches"), 1u);
-    EXPECT_GE(lsq.stats().counterValue("cam_entries_examined"), 2u);
+    EXPECT_EQ(lsq.statValue(obs::LsqStat::SqSearches), 1u);
+    EXPECT_EQ(lsq.statValue(obs::LsqStat::LqSearches), 1u);
+    EXPECT_GE(lsq.statValue(obs::LsqStat::CamEntriesExamined), 2u);
 }
 
 TEST_F(LsqFixture, ValueCheckConsultsCommittedMemory)

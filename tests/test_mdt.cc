@@ -175,7 +175,7 @@ TEST(Mdt, SetConflictReturnsConflict)
               MdtAccess::Status::Ok);
     EXPECT_EQ(mdt.accessLoad(2 * 16, 8, 5, 3).status,
               MdtAccess::Status::Conflict);
-    EXPECT_EQ(mdt.stats().counterValue("set_conflicts"), 1u);
+    EXPECT_EQ(mdt.statValue(obs::MdtStat::SetConflicts), 1u);
 }
 
 TEST(Mdt, ConflictScavengesDeadWays)
@@ -192,7 +192,7 @@ TEST(Mdt, ConflictScavengesDeadWays)
     mdt.setOldestInflight(10);
     EXPECT_EQ(mdt.accessLoad(2 * 16, 8, 11, 3).status,
               MdtAccess::Status::Ok);
-    EXPECT_GE(mdt.stats().counterValue("scavenged_entries"), 1u);
+    EXPECT_GE(mdt.statValue(obs::MdtStat::ScavengedEntries), 1u);
 }
 
 TEST(Mdt, ScavengeSparesLiveWays)
@@ -272,7 +272,7 @@ TEST(Mdt, OptimizedTrueRecoveryFlushesFromSingleLoad)
     const MdtAccess r = mdt.accessStore(0x100, 8, 4, 40);
     ASSERT_EQ(r.status, MdtAccess::Status::Violation);
     EXPECT_EQ(r.squash_from, 9u);   // from the load, not the store
-    EXPECT_EQ(mdt.stats().counterValue("optimized_true_recoveries"), 1u);
+    EXPECT_EQ(mdt.statValue(obs::MdtStat::OptimizedTrueRecoveries), 1u);
 }
 
 TEST(Mdt, OptimizedRecoveryConservativeWithTwoLoads)

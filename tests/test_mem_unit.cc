@@ -254,8 +254,8 @@ TEST_F(MdtSfcFixture, ViolationTrainsThePredictor)
     DynInst st = makeStore(5, 0x100, 0x1);
     unit.dispatchStore(st);
     unit.issueStore(st, false);
-    EXPECT_EQ(memdep.stats().counterValue("violations_true"), 1u);
-    EXPECT_EQ(memdep.stats().counterValue("deps_inserted"), 1u);
+    EXPECT_EQ(memdep.statValue(obs::MemDepStat::ViolationsTrue), 1u);
+    EXPECT_EQ(memdep.statValue(obs::MemDepStat::DepsInserted), 1u);
 }
 
 TEST(LsqUnitTest, ForwardAndViolationFlow)

@@ -202,9 +202,9 @@ TEST(MemDep, StatsCountViolationsByKind)
     pred.reportViolation(3, 4, DepKind::Anti);
     pred.reportViolation(5, 6, DepKind::Output);
     pred.reportViolation(7, 8, DepKind::Output);
-    EXPECT_EQ(pred.stats().counterValue("violations_true"), 1u);
-    EXPECT_EQ(pred.stats().counterValue("violations_anti"), 1u);
-    EXPECT_EQ(pred.stats().counterValue("violations_output"), 2u);
+    EXPECT_EQ(pred.statValue(obs::MemDepStat::ViolationsTrue), 1u);
+    EXPECT_EQ(pred.statValue(obs::MemDepStat::ViolationsAnti), 1u);
+    EXPECT_EQ(pred.statValue(obs::MemDepStat::ViolationsOutput), 2u);
 }
 
 TEST(MemDep, PcAliasingSharesTableEntries)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Property tests for shard merging: Distribution::mergeFrom,
- * StatGroup::mergeFrom and SimResult::mergeFrom must behave like the
- * shards were one combined run — merging K shards equals the combined
- * whole, and the fold is associative and order-independent. These are
- * the invariants the campaign ResultSink aggregates rely on.
+ * Property tests for shard merging: Distribution::mergeFrom and
+ * SimResult::mergeFrom must behave like the shards were one combined
+ * run — merging K shards equals the combined whole, and the fold is
+ * associative and order-independent. These are the invariants the
+ * campaign ResultSink aggregates rely on.
  */
 
 #include <gtest/gtest.h>
@@ -110,87 +110,6 @@ TEST(DistributionMerge, OrderIndependentAndEmptyIsIdentity)
     EXPECT_EQ(e2.count(), a.count());
     EXPECT_EQ(e2.min(), 3u);
     EXPECT_EQ(e2.max(), 100u);
-}
-
-// ---------------------------------------------------------------------
-// StatGroup
-// ---------------------------------------------------------------------
-
-TEST(StatGroupMerge, KShardsEqualCombined)
-{
-    Rng rng(0x57a7);
-    const char *names[] = {"hits", "misses", "replays", "forwards"};
-
-    StatGroup combined("combined");
-    std::vector<StatGroup> shards;
-    for (unsigned s = 0; s < 3; ++s)
-        shards.emplace_back("shard" + std::to_string(s));
-
-    for (unsigned i = 0; i < 500; ++i) {
-        const char *name = names[rng.below(4)];
-        const std::uint64_t n = rng.below(10) + 1;
-        combined.counter(name) += n;
-        shards[i % 3].counter(name) += n;
-        const std::uint64_t v = rng.below(1000);
-        combined.distribution("occupancy").sample(v);
-        shards[i % 3].distribution("occupancy").sample(v);
-    }
-
-    StatGroup merged("merged");
-    for (const StatGroup &s : shards)
-        merged.mergeFrom(s);
-
-    for (const char *name : names)
-        EXPECT_EQ(merged.counterValue(name), combined.counterValue(name))
-            << name;
-    EXPECT_EQ(merged.distribution("occupancy").count(),
-              combined.distribution("occupancy").count());
-    EXPECT_EQ(merged.distribution("occupancy").sum(),
-              combined.distribution("occupancy").sum());
-    EXPECT_EQ(merged.distribution("occupancy").min(),
-              combined.distribution("occupancy").min());
-    EXPECT_EQ(merged.distribution("occupancy").max(),
-              combined.distribution("occupancy").max());
-}
-
-TEST(StatGroupMerge, CreatesAbsentMembers)
-{
-    StatGroup a("a"), b("b");
-    a.counter("only_in_a") += 5;
-    b.counter("only_in_b") += 7;
-    b.distribution("dist_b").sample(42);
-
-    a.mergeFrom(b);
-    EXPECT_EQ(a.counterValue("only_in_a"), 5u);
-    EXPECT_EQ(a.counterValue("only_in_b"), 7u);
-    EXPECT_EQ(a.distribution("dist_b").count(), 1u);
-    EXPECT_EQ(a.distribution("dist_b").sum(), 42u);
-}
-
-TEST(StatGroupMerge, AssociativeOnRandomGroups)
-{
-    Rng rng(0xa550);
-    auto make = [&rng](const std::string &name) {
-        StatGroup g(name);
-        const char *names[] = {"x", "y", "z"};
-        for (unsigned i = 0; i < 20; ++i)
-            g.counter(names[rng.below(3)]) += rng.below(100);
-        return g;
-    };
-    const StatGroup a = make("a"), b = make("b"), c = make("c");
-
-    StatGroup left = a;          // (a + b) + c
-    left.mergeFrom(b);
-    left.mergeFrom(c);
-
-    StatGroup bc = b;            // a + (b + c)
-    bc.mergeFrom(c);
-    StatGroup right = a;
-    right.mergeFrom(bc);
-
-    for (const char *name : {"x", "y", "z"})
-        EXPECT_EQ(left.counterValue(name), right.counterValue(name))
-            << name;
 }
 
 // ---------------------------------------------------------------------

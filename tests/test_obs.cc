@@ -126,28 +126,15 @@ jsonBalanced(const std::string &s)
 // StatTable
 // ---------------------------------------------------------------------
 
-TEST(StatTable, SharesCountersWithTheUnderlyingGroup)
+TEST(StatTable, CountsStartAtZeroAndIncrementPerEnumerator)
 {
-    StatGroup g("t");
-    obs::StatTable<obs::MdtStat> table(g);
+    obs::StatTable<obs::MdtStat> table;
+    for (std::size_t i = 0; i < obs::StatTable<obs::MdtStat>::kCount; ++i)
+        EXPECT_EQ(table.value(static_cast<obs::MdtStat>(i)), 0u);
     ++table[obs::MdtStat::Accesses];
     table[obs::MdtStat::Accesses] += 2;
     EXPECT_EQ(table.value(obs::MdtStat::Accesses), 3u);
-    // The typed handle and the legacy string lookup see the same counter.
-    EXPECT_EQ(g.counterValue(obs::statName(obs::MdtStat::Accesses)), 3u);
     EXPECT_EQ(table.value(obs::MdtStat::SetConflicts), 0u);
-}
-
-TEST(StatTable, RegistersEveryEnumNameUpFront)
-{
-    StatGroup g("t");
-    obs::StatTable<obs::CoreStat> table(g);
-    for (std::size_t i = 0; i < obs::StatTable<obs::CoreStat>::kCount; ++i) {
-        const auto s = static_cast<obs::CoreStat>(i);
-        // counter() get-or-creates; re-looking one up must find the
-        // already-registered instance, not mint a second one.
-        EXPECT_EQ(&g.counter(obs::statName(s)), &table[s]);
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -53,7 +53,7 @@ TEST(RecoveryInvariants, TrueViolationFlushesKeepWindowConsistent)
     EXPECT_TRUE(core.finished());
 
     const std::uint64_t flushes =
-        core.coreStats().counterValue("violation_flushes_true");
+        core.coreStat(obs::CoreStat::ViolationFlushesTrue);
     EXPECT_GT(flushes, 0u) << "workload failed to force true violations";
     // Every violation flush squashed something, so the epoch advanced.
     EXPECT_GE(core.squashCount(), flushes);
@@ -74,7 +74,7 @@ TEST(RecoveryInvariants, MispredictRecoveryKeepsWindowConsistent)
     OooCore core(CoreConfig::baseline(), prog);
     runWithInvariantChecks(core, 4);
     EXPECT_TRUE(core.finished());
-    EXPECT_GT(core.coreStats().counterValue("branch_mispredicts"), 0u);
+    EXPECT_GT(core.coreStat(obs::CoreStat::BranchMispredicts), 0u);
     EXPECT_GT(core.squashCount(), 0u);
 }
 
@@ -101,7 +101,7 @@ TEST(RecoveryInvariants, SquashHistoryReachesTheChecker)
     ASSERT_NE(core.checker(), nullptr);
     // Violation flushes were recorded into the checker's squash ring so
     // any divergence report can cite the recent recovery history.
-    EXPECT_GT(core.checker()->stats().counterValue("squashes_seen"), 0u);
+    EXPECT_GT(core.checker()->statValue(obs::CheckerStat::SquashesSeen), 0u);
 }
 
 TEST(RecoveryInvariants, RecoveryIsDeterministic)
@@ -114,8 +114,8 @@ TEST(RecoveryInvariants, RecoveryIsDeterministic)
     b.run();
     EXPECT_EQ(a.cycles(), b.cycles());
     EXPECT_EQ(a.squashCount(), b.squashCount());
-    EXPECT_EQ(a.coreStats().counterValue("violation_flushes_true"),
-              b.coreStats().counterValue("violation_flushes_true"));
+    EXPECT_EQ(a.coreStat(obs::CoreStat::ViolationFlushesTrue),
+              b.coreStat(obs::CoreStat::ViolationFlushesTrue));
 }
 
 TEST(RecoveryInvariants, ValidationPassesOnBothSubsystemsUnderViolations)

@@ -151,7 +151,7 @@ TEST(Sfc, SetConflictWhenWaysExhausted)
     EXPECT_EQ(sfc.storeWrite(0x000, 8, 1, 5), SfcStoreResult::Ok);
     EXPECT_EQ(sfc.storeWrite(0x040, 8, 2, 6), SfcStoreResult::Ok);
     EXPECT_EQ(sfc.storeWrite(0x080, 8, 3, 7), SfcStoreResult::Conflict);
-    EXPECT_EQ(sfc.stats().counterValue("set_conflicts"), 1u);
+    EXPECT_EQ(sfc.statValue(obs::SfcStat::SetConflicts), 1u);
 }
 
 TEST(Sfc, ConflictScavengesDeadEntries)
@@ -236,11 +236,11 @@ TEST(Sfc, StatsCountEvents)
                                // actually full; use fresh addr)
     sfc.partialFlush();
     sfc.loadRead(0x100, 8);
-    EXPECT_EQ(sfc.stats().counterValue("store_writes"), 2u);
-    EXPECT_EQ(sfc.stats().counterValue("load_reads"), 4u);
-    EXPECT_GE(sfc.stats().counterValue("full_matches"), 1u);
-    EXPECT_EQ(sfc.stats().counterValue("partial_flushes"), 1u);
-    EXPECT_EQ(sfc.stats().counterValue("corrupt_hits"), 1u);
+    EXPECT_EQ(sfc.statValue(obs::SfcStat::StoreWrites), 2u);
+    EXPECT_EQ(sfc.statValue(obs::SfcStat::LoadReads), 4u);
+    EXPECT_GE(sfc.statValue(obs::SfcStat::FullMatches), 1u);
+    EXPECT_EQ(sfc.statValue(obs::SfcStat::PartialFlushes), 1u);
+    EXPECT_EQ(sfc.statValue(obs::SfcStat::CorruptHits), 1u);
 }
 
 TEST(Sfc, RejectsBadGeometry)

@@ -1,22 +1,10 @@
-/** @file Unit tests for the stats package. */
+/** @file Unit tests for Distribution. */
 
 #include <gtest/gtest.h>
 
 #include "sim/stats.hh"
 
 using namespace slf;
-
-TEST(Counter, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c++;
-    c += 3;
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Distribution, TracksMinMaxMeanCount)
 {
@@ -39,50 +27,4 @@ TEST(Distribution, ResetClears)
     d.reset();
     EXPECT_EQ(d.count(), 0u);
     EXPECT_EQ(d.max(), 0u);
-}
-
-TEST(StatGroup, CounterReferenceIsStable)
-{
-    StatGroup g("grp");
-    Counter &a = g.counter("a");
-    // Creating more members must not invalidate the reference.
-    for (int i = 0; i < 100; ++i)
-        g.counter("x" + std::to_string(i));
-    ++a;
-    EXPECT_EQ(g.counterValue("a"), 1u);
-}
-
-TEST(StatGroup, CounterValueOfUnknownIsZero)
-{
-    StatGroup g("grp");
-    EXPECT_EQ(g.counterValue("missing"), 0u);
-}
-
-TEST(StatGroup, CountersReturnsSortedSnapshot)
-{
-    StatGroup g("grp");
-    g.counter("b") += 2;
-    g.counter("a") += 1;
-    const auto all = g.counters();
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0].first, "a");
-    EXPECT_EQ(all[0].second, 1u);
-    EXPECT_EQ(all[1].second, 2u);
-}
-
-TEST(StatGroup, ResetZeroesEverything)
-{
-    StatGroup g("grp");
-    g.counter("a") += 5;
-    g.distribution("d").sample(3);
-    g.reset();
-    EXPECT_EQ(g.counterValue("a"), 0u);
-    EXPECT_EQ(g.distribution("d").count(), 0u);
-}
-
-TEST(StatGroup, ToStringIncludesGroupPrefix)
-{
-    StatGroup g("mygroup");
-    g.counter("hits") += 7;
-    EXPECT_NE(g.toString().find("mygroup.hits 7"), std::string::npos);
 }

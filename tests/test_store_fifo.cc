@@ -74,7 +74,7 @@ TEST(StoreFifo, ClearCountsSquashed)
     fifo.allocate(2);
     fifo.clear();
     EXPECT_TRUE(fifo.empty());
-    EXPECT_EQ(fifo.stats().counterValue("squashed"), 2u);
+    EXPECT_EQ(fifo.statValue(obs::StoreFifoStat::Squashed), 2u);
 }
 
 // The retireHead/allocate bookkeeping breaks are checked invariants

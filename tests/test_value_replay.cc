@@ -102,7 +102,7 @@ TEST_F(VbrFixture, RetireCheckCatchesWrongValue)
     unit.issueStore(st, false);
     unit.retireStore(st);
     EXPECT_FALSE(unit.retireLoad(ld));
-    EXPECT_EQ(unit.unitStats().counterValue("retire_violations"), 1u);
+    EXPECT_EQ(unit.statValue(obs::ValueReplayUnitStat::RetireViolations), 1u);
 }
 
 TEST_F(VbrFixture, RetireCheckPassesOnSilentStore)
@@ -126,7 +126,7 @@ TEST_F(VbrFixture, FilteredModeSkipsInvulnerableLoads)
     const MemIssueOutcome lo = unit.issueLoad(ld, false);
     ld.result = lo.load_value;
     EXPECT_TRUE(unit.retireLoad(ld));
-    EXPECT_EQ(unit.unitStats().counterValue("retire_replays"), 0u);
+    EXPECT_EQ(unit.statValue(obs::ValueReplayUnitStat::RetireReplays), 0u);
 }
 
 TEST_F(VbrFixture, DepHintMakesLaterLoadsWait)

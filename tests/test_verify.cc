@@ -101,7 +101,7 @@ TEST(StoreFifoFaultHooks, CorruptHeadPayloadFlipsTheValue)
     fifo.fill(1, 0x3000, 8, 0xdeadbeefull);
     EXPECT_TRUE(fifo.corruptHeadPayload(0xf1));
     EXPECT_EQ(fifo.head().value, 0xdeadbeefull ^ 0xf1);
-    EXPECT_EQ(fifo.stats().counterValue("payload_faults"), 1u);
+    EXPECT_EQ(fifo.statValue(obs::StoreFifoStat::PayloadFaults), 1u);
 
     const StoreFifo::Slot slot = fifo.retireHead(1);
     EXPECT_EQ(slot.value, 0xdeadbeefull ^ 0xf1);
