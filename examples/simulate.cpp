@@ -17,12 +17,14 @@
  */
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cpu/config_preset.hh"
 #include "driver/runner.hh"
 #include "sim/config.hh"
+#include "sim/logging.hh"
 #include "workloads/workloads.hh"
 
 using namespace slf;
@@ -40,26 +42,12 @@ usage()
     std::printf("\n");
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Simulate @p info under the key=value @p args and print the result. */
+void
+simulate(const WorkloadInfo *info, const std::vector<std::string> &args)
 {
-    if (argc < 2) {
-        usage();
-        return 1;
-    }
-    const std::string name = argv[1];
-    const WorkloadInfo *info = findWorkload(name);
-    if (!info) {
-        std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
-        usage();
-        return 1;
-    }
-
     Config overrides;
-    overrides.parseAssignments(
-        std::vector<std::string>(argv + 2, argv + argc));
+    overrides.parseAssignments(args);
 
     WorkloadParams wp;
     wp.scale = overrides.getUInt("scale", 1);
@@ -86,5 +74,34 @@ main(int argc, char **argv)
     std::printf("%-28s %llu\n", #name, (unsigned long long)r.name);
     SLF_SIM_COUNTERS(SLF_PRINT_COUNTER)
 #undef SLF_PRINT_COUNTER
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    if (argc < 2) {
+        usage();
+        return 1;
+    }
+    const std::string name = argv[1];
+    const WorkloadInfo *info = findWorkload(name);
+    if (!info) {
+        std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
+        usage();
+        return 1;
+    }
+
+    try {
+        simulate(info, std::vector<std::string>(argv + 2, argv + argc));
+    } catch (const std::invalid_argument &e) {
+        // A malformed key=value number or boolean: a usage error.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    }
     return 0;
 }

@@ -4,13 +4,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "campaign/result_sink.hh"
 #include "sim/json.hh"
@@ -22,499 +25,529 @@ namespace slf::campaign
 namespace
 {
 
-// ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, table-driven)
-// ---------------------------------------------------------------------
-
-const std::uint32_t *
-crcTable()
+/** CRC32 (IEEE 802.3 polynomial, table-driven). */
+std::uint32_t
+crc32(const char *data, std::size_t n)
 {
-    static std::uint32_t table[256];
-    static bool init = false;
-    if (!init) {
+    // A magic static: recordLine() seals lines on pool workers, outside
+    // the journal mutex, so the table must be built exactly once.
+    static const std::array<std::uint32_t, 256> table = [] {
+        std::array<std::uint32_t, 256> t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
+            t[i] = c;
         }
-        init = true;
-    }
-    return table;
-}
-
-std::uint32_t
-crc32(const char *data, std::size_t n)
-{
-    const std::uint32_t *t = crcTable();
+        return t;
+    }();
     std::uint32_t c = 0xffffffffu;
     for (std::size_t i = 0; i < n; ++i)
-        c = t[(c ^ static_cast<unsigned char>(data[i])) & 0xffu] ^
+        c = table[(c ^ static_cast<unsigned char>(data[i])) & 0xffu] ^
             (c >> 8);
     return c ^ 0xffffffffu;
 }
 
 // ---------------------------------------------------------------------
-// JSON writing helpers (canonical: fixed field order, %.17g doubles so
-// every double round-trips bit-exactly through the journal)
+// The line grammar. header(), record() and result() below list every
+// field of a line once, in line order; a Writer renders that list and
+// a Reader parses it back. Each value type has one spelling, spell():
+// canonical decimals, %.17g doubles (bit-exact round trip), strings
+// through jsonEscape(). The Reader parses a token loosely and accepts
+// it only if spelling the parsed value reproduces it byte for byte,
+// so it accepts exactly what the Writer produces — fixed key order and
+// the same presence rules for the optional sections included. Any
+// other byte sequence fails the read: a torn tail is an expected
+// input, not an error.
 // ---------------------------------------------------------------------
 
-std::string
-roundTripDouble(double v)
+template <class T>
+    requires std::is_integral_v<T>
+void
+spell(std::string &out, T v)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                  std::uint64_t(v)).ptr);
 }
-
-/** Close an open record body with its own CRC: crc32 of every byte
- *  written so far (i.e. of the line up to but excluding `,"crc"`). */
-std::string
-sealLine(std::string body)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), ",\"crc\":\"%08x\"}",
-                  crc32(body.data(), body.size()));
-    body += buf;
-    return body;
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader: just enough for the journal's own output
-// (objects, arrays, strings with the escapes we emit, numbers, bools).
-// Malformed input returns false rather than throwing — a torn tail is
-// an expected input, not an error.
-// ---------------------------------------------------------------------
-
-struct Jv
-{
-    enum class T
-    {
-        Null,
-        Bool,
-        Num,
-        Str,
-        Obj,
-        Arr
-    };
-
-    T t = T::Null;
-    bool b = false;
-    double num = 0.0;
-    std::uint64_t u = 0;  ///< exact value when the token was integral
-    bool integral = false;
-    std::string str;
-    std::vector<std::pair<std::string, Jv>> obj;
-    std::vector<Jv> arr;
-
-    const Jv *
-    find(const char *key) const
-    {
-        for (const auto &kv : obj)
-            if (kv.first == key)
-                return &kv.second;
-        return nullptr;
-    }
-
-    std::uint64_t asU64() const { return integral ? u : std::uint64_t(num); }
-};
 
 void
-skipWs(const char *&p, const char *end)
+spell(std::string &out, double v)
 {
-    while (p < end && (*p == ' ' || *p == '\t'))
-        ++p;
+    char buf[32];
+    out.append(buf, std::snprintf(buf, sizeof(buf), "%.17g", v));
 }
 
-bool parseValue(const char *&p, const char *end, Jv &out);
-
-bool
-parseString(const char *&p, const char *end, std::string &out)
+void
+spell(std::string &out, const std::string &s)
 {
-    if (p >= end || *p != '"')
-        return false;
-    ++p;
-    out.clear();
-    while (p < end && *p != '"') {
-        if (*p == '\\') {
-            if (p + 1 >= end)
-                return false;
-            ++p;
-            switch (*p) {
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'u': {
-                if (p + 4 >= end)
-                    return false;
-                char hex[5] = {p[1], p[2], p[3], p[4], 0};
-                char *hend = nullptr;
-                const unsigned long cp = std::strtoul(hex, &hend, 16);
-                if (hend != hex + 4 || cp > 0xff)
-                    return false;  // we only ever emit control bytes
-                out += static_cast<char>(cp);
-                p += 4;
-                break;
-              }
-              default:
-                return false;
-            }
-            ++p;
-        } else {
-            out += *p++;
-        }
-    }
-    if (p >= end)
-        return false;
-    ++p;  // closing quote
-    return true;
+    out += '"';
+    out += jsonEscape(s);
+    out += '"';
 }
 
-bool
-parseNumber(const char *&p, const char *end, Jv &out)
+void spell(std::string &o, WorkloadClass c) { spell(o, unsigned(c)); }
+void spell(std::string &o, BackendKind b) { spell(o, backendKindName(b)); }
+void spell(std::string &o, JobStatus s) { spell(o, jobStatusName(s)); }
+
+/** A job-identity digest, spelled as 16 quoted lowercase hex digits. */
+enum class Digest : std::uint64_t {};
+
+void
+spell(std::string &out, Digest d)
 {
-    const char *start = p;
-    if (p < end && *p == '-')
-        ++p;
-    bool integral = true;
-    while (p < end &&
-           (std::isdigit(static_cast<unsigned char>(*p)) || *p == '.' ||
-            *p == 'e' || *p == 'E' || *p == '+' || *p == '-')) {
-        if (*p == '.' || *p == 'e' || *p == 'E')
-            integral = false;
-        ++p;
-    }
-    if (p == start)
-        return false;
-    const std::string tok(start, p);
-    out.t = Jv::T::Num;
-    out.num = std::strtod(tok.c_str(), nullptr);
-    out.integral = integral && tok[0] != '-';
-    if (out.integral)
-        out.u = std::strtoull(tok.c_str(), nullptr, 10);
-    return true;
+    char buf[24];
+    out.append(buf, std::snprintf(buf, sizeof(buf), "\"%016llx\"",
+                                  static_cast<unsigned long long>(d)));
 }
 
-bool
-parseObject(const char *&p, const char *end, Jv &out)
+template <class T>
+    requires std::is_integral_v<T>
+void
+parse(std::string_view tok, T &v)
 {
-    ++p;  // '{'
-    out.t = Jv::T::Obj;
-    skipWs(p, end);
-    if (p < end && *p == '}') {
-        ++p;
-        return true;
-    }
-    for (;;) {
-        skipWs(p, end);
-        std::string key;
-        if (!parseString(p, end, key))
-            return false;
-        skipWs(p, end);
-        if (p >= end || *p != ':')
-            return false;
-        ++p;
-        Jv val;
-        if (!parseValue(p, end, val))
-            return false;
-        out.obj.emplace_back(std::move(key), std::move(val));
-        skipWs(p, end);
-        if (p >= end)
-            return false;
-        if (*p == ',') {
-            ++p;
-            continue;
-        }
-        if (*p == '}') {
-            ++p;
-            return true;
-        }
-        return false;
-    }
+    std::uint64_t u = 0;
+    std::from_chars(tok.data(), tok.data() + tok.size(), u);
+    v = T(u);
 }
 
-bool
-parseArray(const char *&p, const char *end, Jv &out)
+void
+parse(std::string_view tok, Digest &d)
 {
-    ++p;  // '['
-    out.t = Jv::T::Arr;
-    skipWs(p, end);
-    if (p < end && *p == ']') {
-        ++p;
-        return true;
-    }
-    for (;;) {
-        Jv val;
-        if (!parseValue(p, end, val))
-            return false;
-        out.arr.push_back(std::move(val));
-        skipWs(p, end);
-        if (p >= end)
-            return false;
-        if (*p == ',') {
-            ++p;
-            continue;
-        }
-        if (*p == ']') {
-            ++p;
-            return true;
-        }
-        return false;
-    }
+    std::uint64_t v = 0;
+    if (!tok.empty())
+        std::from_chars(tok.data() + 1, tok.data() + tok.size(), v, 16);
+    d = Digest(v);
 }
 
-bool
-parseValue(const char *&p, const char *end, Jv &out)
+void
+parse(std::string_view tok, double &v)
 {
-    skipWs(p, end);
-    if (p >= end)
-        return false;
-    switch (*p) {
-      case '{':
-        return parseObject(p, end, out);
-      case '[':
-        return parseArray(p, end, out);
-      case '"':
-        out.t = Jv::T::Str;
-        return parseString(p, end, out.str);
-      case 't':
-        if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-            out.t = Jv::T::Bool;
-            out.b = true;
-            p += 4;
-            return true;
+    v = std::strtod(std::string(tok).c_str(), nullptr);
+}
+
+void
+parse(std::string_view tok, std::string &s)
+{
+    const std::string_view raw =
+        tok.size() < 2 ? std::string_view() : tok.substr(1, tok.size() - 2);
+    s.clear();
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        char c = raw[i];
+        if (c == '\\' && i + 1 < raw.size() && raw[++i] == 'u') {
+            unsigned cp = 0;
+            std::from_chars(raw.data() + i + 1,
+                            raw.data() + std::min(i + 5, raw.size()), cp,
+                            16);
+            c = char(cp);
+            i += 4;
+        } else if (c == '\\') {
+            const std::size_t e = std::string_view("nrt").find(raw[i]);
+            c = e == std::string_view::npos ? raw[i] : "\n\r\t"[e];
         }
-        return false;
-      case 'f':
-        if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-            out.t = Jv::T::Bool;
-            out.b = false;
-            p += 5;
-            return true;
-        }
-        return false;
-      default:
-        return parseNumber(p, end, out);
+        s += c;
     }
 }
 
 /**
- * Validate one journal line: the trailing `,"crc":"xxxxxxxx"}` must
- * checksum the bytes before it, and the rest must parse as an object.
+ * The punctuation both directions share. IO::lit() appends a literal
+ * (Writer) or consumes exactly that literal (Reader), so keys, commas,
+ * brackets and the seal are spelled once, here.
  */
-bool
-parseSealedLine(const std::string &line, Jv &out)
+template <class IO>
+class Syntax
 {
-    static const char kSeal[] = ",\"crc\":\"";
-    const std::size_t pos = line.rfind(kSeal);
-    if (pos == std::string::npos)
-        return false;
-    const std::size_t hex_at = pos + sizeof(kSeal) - 1;
-    if (line.size() != hex_at + 8 + 2 ||  // 8 hex digits + `"}`
-        line[hex_at + 8] != '"' || line[hex_at + 9] != '}')
-        return false;
-    const std::uint32_t want =
-        std::uint32_t(std::strtoul(line.substr(hex_at, 8).c_str(),
-                                   nullptr, 16));
-    if (crc32(line.data(), pos) != want)
-        return false;
-    // Re-close the object without the seal and parse it.
-    const std::string body = line.substr(0, pos) + "}";
-    const char *p = body.data();
-    const char *end = body.data() + body.size();
-    if (!parseValue(p, end, out) || out.t != Jv::T::Obj)
-        return false;
-    skipWs(p, end);
-    return p == end;
+  public:
+    /** `"k":` (nothing for an array element), after a comma unless it
+     *  opens its container. */
+    void
+    key(const char *k)
+    {
+        if (comma_)
+            io().lit(",");
+        comma_ = true;
+        if (k) {
+            io().lit("\"");
+            io().lit(k);
+            io().lit("\":");
+        }
+    }
+
+    void
+    open(const char *k, char bracket)
+    {
+        key(k);
+        io().lit({&bracket, 1});
+        comma_ = false;
+    }
+
+    void
+    close(char bracket)
+    {
+        io().lit({&bracket, 1});
+        comma_ = true;
+    }
+
+    /** A field whose value is always the literal @p token. */
+    void
+    constant(const char *k, const char *token)
+    {
+        key(k);
+        io().lit(token);
+    }
+
+    /** Close the top-level object with `,"crc":"xxxxxxxx"}`, the CRC32
+     *  of every byte before the comma. */
+    void
+    seal()
+    {
+        const std::string_view body = io().text();
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), ",\"crc\":\"%08x\"}",
+                      crc32(body.data(), body.size()));
+        io().lit(buf);
+    }
+
+  private:
+    IO &io() { return static_cast<IO &>(*this); }
+
+    bool comma_ = false;
+};
+
+class Writer : public Syntax<Writer>
+{
+  public:
+    static constexpr bool kReads = false;
+
+    void lit(std::string_view s) { out_ += s; }
+    std::string_view text() const { return out_; }
+    std::string take() { return std::move(out_); }
+
+    template <class T>
+    void
+    value(const char *k, const T &v)
+    {
+        key(k);
+        spell(out_, v);
+    }
+
+    /** An enum field; @p last bounds it on read. */
+    template <class E>
+    void choice(const char *k, E e, E /*last*/) { value(k, e); }
+
+    bool has(const char *, bool present) const { return present; }
+    void require(bool) const {}
+
+  private:
+    std::string out_;
+};
+
+class Reader : public Syntax<Reader>
+{
+  public:
+    static constexpr bool kReads = true;
+
+    explicit Reader(std::string_view line) : in_(line) {}
+
+    /** Every field read, and the seal ended the line. */
+    bool ok() const { return ok_ && pos_ == in_.size(); }
+
+    void
+    lit(std::string_view s)
+    {
+        ok_ = ok_ && in_.substr(pos_, s.size()) == s;
+        if (ok_)
+            pos_ += s.size();
+    }
+
+    std::string_view text() const { return in_.substr(0, pos_); }
+
+    template <class T>
+    void
+    value(const char *k, T &v)
+    {
+        key(k);
+        const std::string_view tok = token();
+        parse(tok, v);
+        std::string want;
+        spell(want, v);
+        require(want == tok);
+    }
+
+    template <class E>
+    void
+    choice(const char *k, E &e, E last)
+    {
+        key(k);
+        const std::string_view tok = token();
+        for (unsigned i = 0; i <= unsigned(last); ++i) {
+            std::string want;
+            spell(want, E(i));
+            if (want == tok) {
+                e = E(i);
+                return;
+            }
+        }
+        ok_ = false;
+    }
+
+    /** Whether member @p k comes next (it is not consumed). */
+    bool
+    has(const char *k, bool)
+    {
+        Reader probe = *this;
+        probe.key(k);
+        return probe.ok_;
+    }
+
+    void require(bool cond) { ok_ = ok_ && cond; }
+
+  private:
+    /** The next value's bytes: a quoted string (escaped quotes
+     *  skipped) or everything up to the next `,` `}` or `]`. */
+    std::string_view
+    token()
+    {
+        if (!ok_ || pos_ == in_.size())
+            return {};
+        std::size_t end = in_.find_first_of(",}]", pos_);
+        if (in_[pos_] == '"') {
+            for (end = pos_ + 1; end < in_.size() && in_[end] != '"';)
+                end += in_[end] == '\\' ? 2 : 1;
+            ++end;
+        }
+        end = std::min(end, in_.size());
+        const std::string_view tok = in_.substr(pos_, end - pos_);
+        pos_ = end;
+        return tok;
+    }
+
+    std::string_view in_;
+    std::size_t pos_ = 0;
+    bool ok_ = true;
+};
+
+/** `"k":[v...]` */
+template <class IO, class... T>
+void
+tuple(IO &io, const char *k, T &...v)
+{
+    io.open(k, '[');
+    (io.value(nullptr, v), ...);
+    io.close(']');
 }
 
-// ---------------------------------------------------------------------
-// SimResult <-> journal object
-// ---------------------------------------------------------------------
-
+/**
+ * An optional member, written exactly when @p present() holds. The
+ * reader requires present() of what it read, so the presence rules
+ * are part of the grammar: no line the writer could not have produced
+ * reads back.
+ */
+template <class IO, class Present, class... T>
 void
-emitResult(std::ostringstream &os, const SimResult &r)
+entry(IO &io, const char *k, Present present, T &...v)
 {
-    os << "{\"workload\":\"" << jsonEscape(r.workload) << "\""
-       << ",\"cls\":" << unsigned(r.cls)
-       << ",\"cycles\":" << r.cycles
-       << ",\"insts\":" << r.insts
-       << ",\"ipc\":" << roundTripDouble(r.ipc);
+    if (!io.has(k, present()))
+        return;
+    if constexpr (sizeof...(T) == 1)
+        io.value(k, v...);
+    else
+        tuple(io, k, v...);
+    io.require(present());
+}
 
-#define SLF_JOURNAL_EMIT(name) os << ",\"" #name "\":" << r.name;
-    SLF_SIM_COUNTERS(SLF_JOURNAL_EMIT)
-#undef SLF_JOURNAL_EMIT
+/** An optional object member under the same rule as entry(). */
+template <class IO, class Present, class Body>
+void
+section(IO &io, const char *k, Present present, Body body)
+{
+    if (!io.has(k, present()))
+        return;
+    io.open(k, '{');
+    body();
+    io.close('}');
+    io.require(present());
+}
 
-    os << ",\"checker\":[" << (r.checker_enabled ? 1 : 0) << ","
-       << (r.checker_clean ? 1 : 0) << "," << r.check_retirements << ","
-       << r.check_failures << "," << r.check_store_commit_failures
-       << "]";
+bool
+anyOcc(const obs::OccupancySet &occ)
+{
+    bool any = occ.enabled();
+    for (std::size_t i = 0; !any && i < obs::kOccStatCount; ++i)
+        any = occ.dist(static_cast<obs::OccStat>(i)).count() > 0;
+    return any;
+}
 
-    // Sections mirror the ResultSink's presence rules: omitted when
-    // empty, so the journal stays compact for plain counter runs.
-    bool any_occ = r.occ.enabled();
-    for (std::size_t i = 0; !any_occ && i < obs::kOccStatCount; ++i)
-        any_occ = r.occ.dist(static_cast<obs::OccStat>(i)).count() > 0;
-    if (any_occ) {
-        os << ",\"occ\":{\"on\":" << (r.occ.enabled() ? 1 : 0);
+/** Line 0: the campaign identity the journal belongs to. */
+template <class IO>
+void
+header(IO &io, auto &campaign, auto &root_seed, auto &jobs)
+{
+    io.open(nullptr, '{');
+    io.constant("journal", "\"slf-campaign\"");
+    io.constant("version", "2");
+    io.value("campaign", campaign);
+    io.value("root_seed", root_seed);
+    io.value("jobs", jobs);
+    io.seal();
+}
+
+/** Every SimResult field the ResultSink renders. The sections mirror
+ *  the sink's presence rules: omitted when empty, so the journal stays
+ *  compact for plain counter runs. */
+template <class IO>
+void
+result(IO &io, auto &r)
+{
+    io.open("result", '{');
+    io.value("workload", r.workload);
+    io.choice("cls", r.cls, WorkloadClass::Fp);
+    io.value("cycles", r.cycles);
+    io.value("insts", r.insts);
+    io.value("ipc", r.ipc);
+#define SLF_JOURNAL_FIELD(name) io.value(#name, r.name);
+    SLF_SIM_COUNTERS(SLF_JOURNAL_FIELD)
+#undef SLF_JOURNAL_FIELD
+    tuple(io, "checker", r.checker_enabled, r.checker_clean,
+          r.check_retirements, r.check_failures,
+          r.check_store_commit_failures);
+
+    section(io, "occ", [&] { return anyOcc(r.occ); }, [&] {
+        bool on = r.occ.enabled();
+        io.value("on", on);
+        if constexpr (IO::kReads)
+            r.occ.setEnabled(on);
         for (std::size_t i = 0; i < obs::kOccStatCount; ++i) {
             const auto s = static_cast<obs::OccStat>(i);
             const Distribution &d = r.occ.dist(s);
-            if (d.count() == 0)
-                continue;
-            os << ",\"" << obs::occStatName(s) << "\":[" << d.count()
-               << "," << d.sum() << "," << d.min() << "," << d.max()
-               << "]";
+            std::uint64_t n = d.count(), sum = d.sum(), lo = d.min(),
+                          hi = d.max();
+            entry(io, obs::occStatName(s), [&] { return n != 0; }, n,
+                  sum, lo, hi);
+            if constexpr (IO::kReads)
+                r.occ.restoreDist(s,
+                                  Distribution::fromParts(n, sum, lo, hi));
         }
-        os << "}";
-    }
+    });
 
-    if (r.cpi.total() > 0) {
-        os << ",\"cpi\":{";
-        bool first = true;
+    section(io, "cpi", [&] { return r.cpi.total() > 0; }, [&] {
         for (std::size_t i = 0; i < obs::kCpiComponentCount; ++i) {
             const auto c = static_cast<obs::CpiComponent>(i);
-            if (r.cpi.value(c) == 0)
-                continue;
-            os << (first ? "" : ",") << "\"" << obs::cpiComponentName(c)
-               << "\":" << r.cpi.value(c);
-            first = false;
+            std::uint64_t v = r.cpi.value(c);
+            entry(io, obs::cpiComponentName(c), [&] { return v != 0; },
+                  v);
+            if constexpr (IO::kReads)
+                r.cpi.add(c, v);
         }
-        os << "}";
-    }
+    });
 
-    if (r.blame.totalFlushes() || r.blame.totalSquashed() ||
-        r.blame.totalRefetchCycles()) {
-        os << ",\"blame\":{";
-        bool first = true;
+    const auto any_blame = [&] {
+        return r.blame.totalFlushes() || r.blame.totalSquashed() ||
+               r.blame.totalRefetchCycles();
+    };
+    section(io, "blame", any_blame, [&] {
         for (std::size_t i = 0; i < obs::kFlushCauseCount; ++i) {
             const auto c = static_cast<obs::FlushCause>(i);
-            const obs::BlameRecord &b = r.blame.record(c);
-            if (!b.flushes && !b.squashed_insts && !b.refetch_cycles)
-                continue;
-            os << (first ? "" : ",") << "\"" << obs::flushCauseName(c)
-               << "\":[" << b.flushes << "," << b.squashed_insts << ","
-               << b.refetch_cycles << "]";
-            first = false;
+            obs::BlameRecord b = r.blame.record(c);
+            entry(io, obs::flushCauseName(c),
+                  [&] {
+                      return b.flushes || b.squashed_insts ||
+                             b.refetch_cycles;
+                  },
+                  b.flushes, b.squashed_insts, b.refetch_cycles);
+            if constexpr (IO::kReads)
+                r.blame.restoreRecord(c, b);
         }
-        os << "}";
-    }
-    os << "}";
+    });
+    io.close('}');
 }
 
-bool
-readResult(const Jv &v, SimResult &r)
+/** One terminal JobResult. Labels are not journaled: load() takes them
+ *  from the spec the digest matched. */
+template <class IO>
+void
+record(IO &io, auto &jr, auto &digest)
 {
-    if (v.t != Jv::T::Obj)
-        return false;
-    auto u64 = [&](const char *k, std::uint64_t &dst) {
-        if (const Jv *f = v.find(k))
-            dst = f->asU64();
-    };
-    if (const Jv *f = v.find("workload"))
-        r.workload = f->str;
-    if (const Jv *f = v.find("cls"))
-        r.cls = f->asU64() == 1 ? WorkloadClass::Fp : WorkloadClass::Int;
-    u64("cycles", r.cycles);
-    u64("insts", r.insts);
-    if (const Jv *f = v.find("ipc"))
-        r.ipc = f->integral ? double(f->u) : f->num;
-#define SLF_JOURNAL_READ(name) u64(#name, r.name);
-    SLF_SIM_COUNTERS(SLF_JOURNAL_READ)
-#undef SLF_JOURNAL_READ
-
-    if (const Jv *f = v.find("checker")) {
-        if (f->t != Jv::T::Arr || f->arr.size() != 5)
-            return false;
-        r.checker_enabled = f->arr[0].asU64() != 0;
-        r.checker_clean = f->arr[1].asU64() != 0;
-        r.check_retirements = f->arr[2].asU64();
-        r.check_failures = f->arr[3].asU64();
-        r.check_store_commit_failures = f->arr[4].asU64();
-    }
-
-    if (const Jv *f = v.find("occ")) {
-        if (f->t != Jv::T::Obj)
-            return false;
-        if (const Jv *on = f->find("on"))
-            r.occ.setEnabled(on->asU64() != 0);
-        for (std::size_t i = 0; i < obs::kOccStatCount; ++i) {
-            const auto s = static_cast<obs::OccStat>(i);
-            const Jv *d = f->find(obs::occStatName(s));
-            if (!d)
-                continue;
-            if (d->t != Jv::T::Arr || d->arr.size() != 4)
-                return false;
-            r.occ.restoreDist(
-                s, Distribution::fromParts(
-                       d->arr[0].asU64(), d->arr[1].asU64(),
-                       d->arr[2].asU64(), d->arr[3].asU64()));
-        }
-    }
-
-    if (const Jv *f = v.find("cpi")) {
-        if (f->t != Jv::T::Obj)
-            return false;
-        for (std::size_t i = 0; i < obs::kCpiComponentCount; ++i) {
-            const auto c = static_cast<obs::CpiComponent>(i);
-            if (const Jv *d = f->find(obs::cpiComponentName(c)))
-                r.cpi.add(c, d->asU64());
-        }
-    }
-
-    if (const Jv *f = v.find("blame")) {
-        if (f->t != Jv::T::Obj)
-            return false;
-        for (std::size_t i = 0; i < obs::kFlushCauseCount; ++i) {
-            const auto c = static_cast<obs::FlushCause>(i);
-            const Jv *d = f->find(obs::flushCauseName(c));
-            if (!d)
-                continue;
-            if (d->t != Jv::T::Arr || d->arr.size() != 3)
-                return false;
-            r.blame.restoreRecord(c, obs::BlameRecord{d->arr[0].asU64(),
-                                                      d->arr[1].asU64(),
-                                                      d->arr[2].asU64()});
-        }
-    }
-    return true;
+    io.open(nullptr, '{');
+    io.value("job", jr.index);
+    io.value("digest", digest);
+    io.choice("backend", jr.backend, BackendKind::Synthetic);
+    io.choice("status", jr.status, JobStatus::Timeout);
+    io.value("attempts", jr.attempts);
+    io.value("core_seed", jr.core_seed);
+    io.value("fault_seed", jr.fault_seed);
+    io.value("wall_ms", jr.wall_ms);
+    io.value("error", jr.error);
+    result(io, jr.result);
+    io.seal();
 }
 
 std::string
 headerLine(const std::string &campaign_name, std::uint64_t root_seed,
-           std::size_t job_count)
+           std::uint64_t job_count)
 {
-    std::ostringstream os;
-    os << "{\"journal\":\"slf-campaign\",\"version\":2,\"campaign\":\""
-       << jsonEscape(campaign_name) << "\",\"root_seed\":" << root_seed
-       << ",\"jobs\":" << job_count;
-    return sealLine(os.str());
+    Writer io;
+    header(io, campaign_name, root_seed, job_count);
+    return io.take();
 }
 
-JobStatus
-statusFromName(const std::string &s, bool *ok)
+/** What a journal file holds under the torn-tail rule: lines read in
+ *  order, and the first one that does not read — a torn fragment
+ *  without '\n' included — ends the replay. */
+struct Replay
 {
-    *ok = true;
-    if (s == "ok")
-        return JobStatus::Ok;
-    if (s == "fatal")
-        return JobStatus::Fatal;
-    if (s == "timeout")
-        return JobStatus::Timeout;
-    *ok = false;
-    return JobStatus::Fatal;
+    std::string campaign;
+    std::uint64_t root_seed = 0;
+    std::uint64_t jobs = 0;
+    std::vector<std::pair<JobResult, Digest>> records;
+    std::size_t valid_bytes = 0;  ///< the lines that read, '\n' included
+    std::size_t dropped = 0;      ///< the lines after them
+};
+
+Replay
+replay(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string content((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    const std::string_view text(content);
+    Replay rp;
+    for (std::size_t nl; (nl = text.find('\n', rp.valid_bytes)) !=
+                         std::string_view::npos;
+         rp.valid_bytes = nl + 1) {
+        Reader io(text.substr(rp.valid_bytes, nl - rp.valid_bytes));
+        JobResult jr;
+        Digest digest{};
+        if (rp.valid_bytes == 0)
+            header(io, rp.campaign, rp.root_seed, rp.jobs);
+        else
+            record(io, jr, digest);
+        if (!io.ok())
+            break;
+        if (rp.valid_bytes > 0)
+            rp.records.emplace_back(std::move(jr), digest);
+    }
+    const std::string_view rest = text.substr(rp.valid_bytes);
+    rp.dropped = std::size_t(std::count(rest.begin(), rest.end(), '\n')) +
+                 (rest.empty() || rest.back() == '\n' ? 0 : 1);
+    return rp;
+}
+
+void
+writeFully(int fd, const char *data, std::size_t n,
+           const std::string &path)
+{
+    std::size_t off = 0;
+    while (off < n) {
+        const ssize_t w = ::write(fd, data + off, n - off);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            fatal("journal '" + path +
+                  "': write failed: " + std::strerror(errno));
+        }
+        off += std::size_t(w);
+    }
 }
 
 /** FNV-1a 64-bit, streamed. */
@@ -635,21 +668,10 @@ JobJournal::specDigest(const JobSpec &spec, std::size_t job_index,
 std::string
 JobJournal::recordLine(const JobResult &jr, std::uint64_t digest)
 {
-    std::ostringstream os;
-    char dig[24];
-    std::snprintf(dig, sizeof(dig), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    os << "{\"job\":" << jr.index << ",\"digest\":\"" << dig << "\""
-       << ",\"backend\":\"" << backendKindName(jr.backend) << "\""
-       << ",\"status\":\"" << jobStatusName(jr.status) << "\""
-       << ",\"attempts\":" << jr.attempts
-       << ",\"core_seed\":" << jr.core_seed
-       << ",\"fault_seed\":" << jr.fault_seed
-       << ",\"wall_ms\":" << jr.wall_ms
-       << ",\"error\":\"" << jsonEscape(jr.error) << "\""
-       << ",\"result\":";
-    emitResult(os, jr.result);
-    return sealLine(os.str());
+    Writer io;
+    const auto d = Digest(digest);
+    record(io, jr, d);
+    return io.take();
 }
 
 std::vector<std::optional<JobResult>>
@@ -663,54 +685,18 @@ JobJournal::load(const std::string &path,
     LoadStats &st = stats ? *stats : local;
     st = LoadStats{};
 
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    Replay rp = replay(path);
+    st.dropped = rp.dropped;
+    // A torn or corrupt header: the caller starts a fresh journal. A
+    // valid one naming a different identity is fatal.
+    if (rp.valid_bytes == 0)
         return out;
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-
-    // Split into complete lines; a trailing fragment without '\n' is a
-    // torn tail by definition.
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    bool torn_fragment = false;
-    while (start < content.size()) {
-        const std::size_t nl = content.find('\n', start);
-        if (nl == std::string::npos) {
-            torn_fragment = true;
-            break;
-        }
-        lines.push_back(content.substr(start, nl - start));
-        start = nl + 1;
-    }
-
-    if (lines.empty()) {
-        st.dropped = torn_fragment ? 1 : 0;
-        return out;
-    }
-
-    // Header: torn/corrupt -> treat the whole file as unusable (the
-    // caller starts fresh); valid but different identity -> fatal.
-    Jv header;
-    if (!parseSealedLine(lines[0], header)) {
-        st.dropped = lines.size() + (torn_fragment ? 1 : 0);
-        return out;
-    }
-    const Jv *magic = header.find("journal");
-    const Jv *camp = header.find("campaign");
-    const Jv *seed = header.find("root_seed");
-    const Jv *njobs = header.find("jobs");
-    if (!magic || magic->str != "slf-campaign" || !camp || !seed ||
-        !njobs) {
-        st.dropped = lines.size() + (torn_fragment ? 1 : 0);
-        return out;
-    }
-    if (camp->str != campaign_name || seed->asU64() != root_seed ||
-        njobs->asU64() != jobs.size()) {
+    if (rp.campaign != campaign_name || rp.root_seed != root_seed ||
+        rp.jobs != jobs.size()) {
         fatal("journal '" + path + "' belongs to campaign '" +
-              camp->str + "' (root_seed " +
-              std::to_string(seed->asU64()) + ", " +
-              std::to_string(njobs->asU64()) + " jobs), not to '" +
+              rp.campaign + "' (root_seed " +
+              std::to_string(rp.root_seed) + ", " +
+              std::to_string(rp.jobs) + " jobs), not to '" +
               campaign_name + "' (root_seed " +
               std::to_string(root_seed) + ", " +
               std::to_string(jobs.size()) +
@@ -719,125 +705,25 @@ JobJournal::load(const std::string &path,
     }
     st.header_valid = true;
 
-    for (std::size_t li = 1; li < lines.size(); ++li) {
-        Jv rec;
-        if (!parseSealedLine(lines[li], rec)) {
-            // Torn-tail rule: drop this line and everything after it.
-            st.dropped = lines.size() - li + (torn_fragment ? 1 : 0);
-            return out;
-        }
-        const Jv *job = rec.find("job");
-        const Jv *dig = rec.find("digest");
-        const Jv *status = rec.find("status");
-        const Jv *attempts = rec.find("attempts");
-        const Jv *error = rec.find("error");
-        const Jv *result = rec.find("result");
-        if (!job || !dig || !status || !attempts || !error || !result) {
-            st.dropped = lines.size() - li + (torn_fragment ? 1 : 0);
-            return out;
-        }
-        const std::size_t idx = job->asU64();
-        char want[24];
-        bool status_ok = false;
-        JobResult jr;
-        jr.status = statusFromName(status->str, &status_ok);
-        if (idx >= jobs.size() || !status_ok) {
-            ++st.mismatched;
-            continue;
-        }
-        std::snprintf(want, sizeof(want), "%016llx",
-                      static_cast<unsigned long long>(
-                          specDigest(jobs[idx], idx, root_seed)));
-        if (dig->str != want) {
+    for (auto &[jr, digest] : rp.records) {
+        const std::size_t idx = jr.index;
+        if (idx >= jobs.size() || jr.backend != jobs[idx].backend ||
+            digest != Digest(specDigest(jobs[idx], idx, root_seed))) {
             // Well-formed record for a different job spec (the sweep's
-            // parameters changed): skip it, the job just re-runs.
+            // parameters changed): skip it, the job just re-runs. The
+            // digest covers the backend, so a record naming another
+            // engine is stale too.
             ++st.mismatched;
             continue;
         }
-        jr.index = idx;
         jr.config_name = jobs[idx].config_name;
         jr.workload = jobs[idx].workload;
-        // The digest covers the backend, so a match implies the
-        // record's engine is the spec's engine.
-        jr.backend = jobs[idx].backend;
-        jr.attempts = unsigned(attempts->asU64());
-        jr.error = error->str;
-        if (const Jv *f = rec.find("core_seed"))
-            jr.core_seed = f->asU64();
-        if (const Jv *f = rec.find("fault_seed"))
-            jr.fault_seed = f->asU64();
-        // Optional since the field was introduced: records from older
-        // journals simply rehydrate with wall_ms 0.
-        if (const Jv *f = rec.find("wall_ms"))
-            jr.wall_ms = f->asU64();
         jr.rehydrated = true;
-        if (!readResult(*result, jr.result)) {
-            st.dropped = lines.size() - li + (torn_fragment ? 1 : 0);
-            return out;
-        }
         out[idx] = std::move(jr);
         ++st.records;
     }
-    if (torn_fragment)
-        ++st.dropped;
     return out;
 }
-
-namespace
-{
-
-/**
- * Byte length of the valid line prefix of @p path: the header plus
- * every consecutive CRC-valid line after it (digest matching is a
- * load()-time concern; a sealed line is a safe append boundary either
- * way). 0 when the header itself is torn or corrupt.
- *
- * The resume constructor truncates to this length before appending:
- * without the truncation a fresh record would concatenate onto a torn
- * fragment and the combined line would fail the CRC on the *next*
- * load, silently discarding every record appended after the tear.
- */
-std::size_t
-validPrefixBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return 0;
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    std::size_t valid = 0;
-    std::size_t start = 0;
-    while (start < content.size()) {
-        const std::size_t nl = content.find('\n', start);
-        if (nl == std::string::npos)
-            break;  // torn tail
-        Jv v;
-        if (!parseSealedLine(content.substr(start, nl - start), v))
-            break;
-        valid = nl + 1;
-        start = nl + 1;
-    }
-    return valid;
-}
-
-void
-writeFully(int fd, const char *data, std::size_t n,
-           const std::string &path)
-{
-    std::size_t off = 0;
-    while (off < n) {
-        const ssize_t w = ::write(fd, data + off, n - off);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("journal '" + path +
-                  "': write failed: " + std::strerror(errno));
-        }
-        off += std::size_t(w);
-    }
-}
-
-} // namespace
 
 JobJournal::JobJournal(std::string path,
                        const std::string &campaign_name,
@@ -850,9 +736,10 @@ JobJournal::JobJournal(std::string path,
     if (const char *e = std::getenv("SLFWD_JOURNAL_KILL_TORN"))
         kill_torn_ = *e && *e != '0';
 
-    // On resume, drop any torn/corrupt suffix before appending so a
-    // fresh record always starts at a clean line boundary.
-    const std::size_t keep = resume ? validPrefixBytes(path_) : 0;
+    // On resume, truncate to the prefix load() replays, or a fresh
+    // record would land after (or onto) a torn line that load() stops
+    // at, and every record appended after the tear would be lost.
+    const std::size_t keep = resume ? replay(path_).valid_bytes : 0;
 
     int flags = O_WRONLY | O_CREAT | O_APPEND;
     if (!resume)

@@ -26,11 +26,21 @@
  * uninterrupted run. (Checker failure *reports* — debugging payloads
  * never rendered into campaign JSON — are not journaled.)
  *
+ * Line grammar: one field list per line kind (header, record) is
+ * walked both to write a line and to read it, so each field is named
+ * once. The reader accepts exactly the bytes the writer produces —
+ * fixed key order, canonical decimals, %.17g doubles, the escapes
+ * jsonEscape() emits, 16-hex-digit digests, every field present, and
+ * the optional occupancy/CPI/blame sections and entries under the
+ * writer's presence rules — then the CRC seal. Any other line fails
+ * the read, so a CRC-valid line either rehydrates into a result that
+ * re-renders to the same bytes or is not rehydrated at all.
+ *
  * Torn-tail rule: a crash mid-append leaves a torn last line. load()
- * validates lines in order (CRC, parse, digest) and stops at the first
- * invalid one, dropping it and everything after: every record is
- * independently recomputable, so dropping a suspect suffix is always
- * sound, never corrupting.
+ * validates lines in order (grammar and CRC, then digest) and stops at
+ * the first line that fails the read, dropping it and everything
+ * after: every record is independently recomputable, so dropping a
+ * suspect suffix is always sound, never corrupting.
  *
  * Host-fault injection seams (tests + CI harness):
  *  - JournalHooks lets a test make append n torn (half the record's
@@ -95,10 +105,11 @@ class JobJournal
      * A *valid* header naming a different campaign/root-seed/job-count
      * is a hard fatal(): silently mixing two campaigns' results would
      * be corruption, not recovery. Job records are validated in order
-     * (CRC, parse, digest vs the actual JobSpec) and the first invalid
-     * line ends the replay (torn-tail rule); a well-formed record whose
-     * digest does not match its spec is skipped and counted, and that
-     * job simply re-runs.
+     * (grammar and CRC, then digest and backend vs the actual JobSpec)
+     * and the first line that fails the read ends the replay (torn-tail
+     * rule); a well-formed record whose digest or backend does not
+     * match its spec is skipped and counted, and that job simply
+     * re-runs.
      *
      * @return one slot per job; engaged slots hold rehydrated results.
      */
@@ -150,7 +161,8 @@ class JobJournal
                                     std::size_t job_index,
                                     std::uint64_t root_seed);
 
-    /** Serialize/parse one job record line (exposed for tests). */
+    /** Render one job record line, without its '\n' (exposed for
+     *  tests: load() accepts exactly what this produces). */
     static std::string recordLine(const JobResult &jr,
                                   std::uint64_t digest);
 

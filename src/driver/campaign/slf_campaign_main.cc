@@ -285,6 +285,10 @@ main(int argc, char **argv)
                 continue;
             sopts.overrides.set(key, kv.getString(key));
         }
+        // Check them before the sweep loads anything (the micro sweep
+        // reads its corpus first): a bad value is a usage error.
+        CoreConfig probe;
+        applyOverrides(probe, sopts.overrides);
 
         const Campaign c = makeSweep(sweep, sopts);
         if (trace_requested && trace_job >= c.jobCount()) {

@@ -16,9 +16,8 @@
  *
  * emitEvent() also feeds the legacy Debug::trace text path: when the
  * event's flag (e.g. "MDTViol" for MDT violations) is enabled, the
- * event is formatted into the same style of line the free-form
- * SLF_DPRINTF call sites used to print, so log-based workflows and
- * tests keep working unchanged.
+ * event is formatted into a Debug::trace line, so log-based
+ * workflows and tests keep working unchanged.
  */
 
 #ifndef SLFWD_OBS_TRACE_SINK_HH_

@@ -2,7 +2,7 @@
  * @file
  * Error/status reporting helpers in the gem5 idiom: panic() for simulator
  * bugs (aborts), fatal() for user errors (throws), warn()/inform() for
- * status, plus compile-time-cheap debug tracing gated by named flags.
+ * status, plus debug tracing gated by named flags.
  */
 
 #ifndef SLFWD_SIM_LOGGING_HH_
@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -122,16 +121,5 @@ class Debug
 };
 
 } // namespace slf
-
-/** Trace macro: evaluates the message only when the flag is on. */
-#define SLF_DPRINTF(flag, ...)                                          \
-    do {                                                                \
-        if (::slf::Debug::enabled(flag)) {                              \
-            char slf_dprintf_buf_[512];                                 \
-            std::snprintf(slf_dprintf_buf_, sizeof(slf_dprintf_buf_),   \
-                          __VA_ARGS__);                                 \
-            ::slf::Debug::trace(flag, slf_dprintf_buf_);                \
-        }                                                               \
-    } while (0)
 
 #endif // SLFWD_SIM_LOGGING_HH_

@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -361,6 +362,168 @@ TEST(CrashRecovery, JournalRecordMatchesPinnedGoldenAndRoundTrips)
         << #name;
     SLF_SIM_COUNTERS(SLF_EXPECT_RENDERED)
 #undef SLF_EXPECT_RENDERED
+}
+
+// ---------------------------------------------------------------------
+// The reader accepts exactly the writer's grammar
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** CRC-32 (IEEE 802.3), bitwise: an independent re-implementation, so
+ *  the tests can seal hand-made lines without the journal's own code. */
+std::uint32_t
+testCrc32(const std::string &s)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (const unsigned char b : s) {
+        c ^= b;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+}
+
+/** The seal every journal line ends with: `,"crc":"xxxxxxxx"}`. */
+constexpr std::size_t kSealBytes = 18;
+
+/** @p body closed with a correct seal, so only the reader can reject
+ *  it. */
+std::string
+reseal(const std::string &body)
+{
+    char seal[kSealBytes + 1];
+    std::snprintf(seal, sizeof(seal), ",\"crc\":\"%08x\"}",
+                  testCrc32(body));
+    return body + seal;
+}
+
+/** A fresh journal holding only the header of campaign "pinned". */
+std::string
+pinnedHeader(const std::vector<JobSpec> &jobs, std::uint64_t seed)
+{
+    const std::string path = tmpPath("pinned_header.jsonl");
+    {
+        const JobJournal j(path, "pinned", seed, jobs.size(), false);
+    }
+    const std::string header = slurp(path);
+    std::remove(path.c_str());
+    return header;
+}
+
+std::vector<JobSpec>
+pinnedJobs()
+{
+    std::vector<JobSpec> jobs(8);
+    for (JobSpec &s : jobs)
+        s.backend = BackendKind::FuncBatch;
+    return jobs;
+}
+
+} // namespace
+
+TEST(CrashRecovery, IncompleteRecordIsNotRehydrated)
+{
+    // A CRC-valid record that lacks one counter must not rehydrate with
+    // that counter silently 0: it is dropped, and the job re-runs.
+    const std::vector<JobSpec> jobs = pinnedJobs();
+    const std::uint64_t seed = 99;
+    const std::string line = JobJournal::recordLine(
+        pinnedJobResult(), JobJournal::specDigest(jobs[7], 7, seed));
+    std::string body = line.substr(0, line.size() - kSealBytes);
+    ASSERT_EQ(reseal(body), line);  // the test CRC is the journal's
+    const std::string field =
+        ",\"head_bypasses\":" +
+        std::to_string(pinnedJobResult().result.head_bypasses);
+    const std::size_t at = body.find(field);
+    ASSERT_NE(at, std::string::npos);
+    body.erase(at, field.size());
+
+    const std::string path = tmpPath("incomplete.jsonl");
+    spit(path, pinnedHeader(jobs, seed) + reseal(body) + "\n");
+    JobJournal::LoadStats st;
+    const auto loaded = JobJournal::load(path, "pinned", seed, jobs, &st);
+    EXPECT_TRUE(st.header_valid);
+    EXPECT_EQ(st.records, 0u);
+    EXPECT_EQ(st.dropped, 1u);
+    EXPECT_FALSE(loaded[7].has_value());
+    std::remove(path.c_str());
+}
+
+TEST(CrashRecovery, MutatedRecordsRehydrateOnlyVerbatim)
+{
+    // Mutation fuzz: thousands of seeded byte-level mutants of a sealed
+    // record, each re-sealed with a correct CRC so the reader alone
+    // decides. A mutant either does not rehydrate, or rehydrates into a
+    // result that re-renders to the mutant byte for byte — the reader
+    // never accepts a spelling the writer would not produce (a space
+    // after a colon, a leading zero, an upper-case escape, a missing or
+    // duplicated field).
+    const std::vector<JobSpec> jobs = pinnedJobs();
+    const std::uint64_t seed = 99;
+    const std::string header = pinnedHeader(jobs, seed);
+    const std::string line = JobJournal::recordLine(
+        pinnedJobResult(), JobJournal::specDigest(jobs[7], 7, seed));
+    const std::string body = line.substr(0, line.size() - kSealBytes);
+    const std::string path = tmpPath("mutant.jsonl");
+
+    static const char kBytes[] = " \t\n,:{}[]\"\\0123456789-+.eEuabcdef";
+    std::mt19937_64 rng(20051112);
+    const auto pick = [&rng](std::size_t n) {
+        return n ? std::size_t(rng() % n) : 0;
+    };
+    std::size_t accepted = 0, rejected = 0;
+    for (int m = 0; m < 2000; ++m) {
+        std::string mutant = body;
+        for (int edits = 1 + int(pick(2)); edits > 0; --edits) {
+            const std::size_t at = pick(mutant.size());
+            const std::size_t len = 1 + pick(8);
+            switch (pick(5)) {
+              case 0:  // byte flip
+                if (at < mutant.size())
+                    mutant[at] = char(mutant[at] ^ (1u << pick(8)));
+                break;
+              case 1:  // delete
+                mutant.erase(at, len);
+                break;
+              case 2: {  // insert, often right after a structural byte
+                std::size_t pos = at;
+                if (pick(2) != 0) {
+                    const std::size_t s = mutant.find_first_of(":,[{", at);
+                    pos = s == std::string::npos ? at : s + 1;
+                }
+                mutant.insert(pos, 1, kBytes[pick(sizeof(kBytes) - 1)]);
+                break;
+              }
+              case 3:  // duplicate a span
+                mutant.insert(pick(mutant.size()), mutant.substr(at, len));
+                break;
+              default:  // truncate
+                mutant.resize(at);
+                break;
+            }
+        }
+        const std::string sealed = reseal(mutant);
+        spit(path, header + sealed + "\n");
+        const auto loaded = JobJournal::load(path, "pinned", seed, jobs);
+        bool any = false;
+        for (std::size_t i = 0; i < loaded.size(); ++i) {
+            if (!loaded[i])
+                continue;
+            any = true;
+            EXPECT_EQ(JobJournal::recordLine(
+                          *loaded[i],
+                          JobJournal::specDigest(jobs[i], i, seed)),
+                      sealed)
+                << "mutant " << m << " rehydrated non-verbatim";
+        }
+        ++(any ? accepted : rejected);
+    }
+    // Both outcomes occur, so neither branch is vacuous.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+    std::remove(path.c_str());
 }
 
 TEST(CrashRecovery, SpecDigestDistinguishesJobs)
