@@ -941,8 +941,10 @@ renderValueReplay(const std::vector<JobResult> &results,
 /** One fault phase's totals over its jobs. */
 struct FaultTotals
 {
+    std::uint64_t jobs = 0;
     std::uint64_t faults = 0;
     std::uint64_t detections = 0;        ///< checker failures, all kinds
+    std::uint64_t diverged = 0;          ///< jobs with a checker failure
     std::uint64_t store_commit_detections = 0;
     std::uint64_t absorbed_replays = 0;  ///< SFC corrupt-bit load replays
     std::uint64_t wedged = 0;            ///< jobs that did not finish
@@ -958,6 +960,7 @@ faultTotals(const std::string &phase, const std::vector<JobResult> &results,
     for (const JobResult &jr : results) {
         if (jr.config_name != phase)
             continue;
+        ++t.jobs;
         const std::string tag = "  [" + phase + "/" + jr.workload + "] ";
         if (!jr.ok()) {
             ++t.wedged;
@@ -968,6 +971,7 @@ faultTotals(const std::string &phase, const std::vector<JobResult> &results,
         t.faults += r.faults_sfc_mask + r.faults_sfc_data +
                     r.faults_mdt_evict + r.faults_fifo_payload;
         t.detections += r.check_failures;
+        t.diverged += r.check_failures != 0;
         t.store_commit_detections += r.check_store_commit_failures;
         t.absorbed_replays += r.load_replays_sfc_corrupt;
         const std::size_t shown =
@@ -992,8 +996,9 @@ faultTotals(const std::string &phase, const std::vector<JobResult> &results,
  *    absorbed as replays with no divergence.
  *  - fifo: store-FIFO payload corruption at the drain, an architectural
  *    fault; the checker must catch >= 99% as StoreCommit divergences.
- *  - mdt: early MDT evictions erase ordering records; the escapes the
- *    checker catches are reported, never judged.
+ *  - mdt: early MDT evictions erase ordering records; the jobs that
+ *    diverge from the golden model, and their divergences (one escape
+ *    can cascade into hundreds), are reported, never judged.
  */
 SweepReport
 renderFault(const std::vector<JobResult> &results, const SweepOptions &opts)
@@ -1039,8 +1044,10 @@ renderFault(const std::vector<JobResult> &results, const SweepOptions &opts)
 
     const FaultTotals mdt = phase("mdt");
     appendf(out,
-            "  (mdt evictions erase ordering records; %llu escaped "
-            "violations were caught by the checker)\n",
+            "  (mdt evictions erase ordering records; %llu of %llu jobs "
+            "diverged from the golden model, %llu divergences in all)\n",
+            static_cast<unsigned long long>(mdt.diverged),
+            static_cast<unsigned long long>(mdt.jobs),
             static_cast<unsigned long long>(mdt.detections));
     out += rep.breach ? "CAMPAIGN FAIL\n" : "CAMPAIGN PASS\n";
     return rep;

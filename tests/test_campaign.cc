@@ -725,6 +725,20 @@ TEST(Sweeps, FaultCriteriaFailEachOnItsOwnBreach)
         j.status = JobStatus::Fatal;
         j.error = "watchdog";
     }));
+    // The census counts diverging jobs and their divergences: two of
+    // three mdt jobs diverge, one of them in a cascade.
+    const SweepReport census = renderSweep("fault", SweepOptions{}, [] {
+        std::vector<JobResult> results = passingFaultResults();
+        for (int i = 0; i < 2; ++i)
+            results.push_back(results[kMdt]);
+        results[kMdt].result.check_failures = 770;
+        results.back().result.check_failures = 2;
+        return results;
+    }());
+    EXPECT_FALSE(census.breach);
+    EXPECT_NE(census.table.find("; 2 of 3 jobs diverged from the golden "
+                                "model, 772 divergences in all)\n"),
+              std::string::npos);
 
     const SweepReport fail = renderSweep("fault", SweepOptions{}, [] {
         std::vector<JobResult> results = passingFaultResults();
