@@ -46,23 +46,27 @@ sfcProbeDetail(SfcLoadResult::Status s)
     return obs::SfcProbeDetail::Miss;
 }
 
-/** Merge SFC-supplied bytes over committed-memory bytes. */
-std::uint64_t
-mergeBytes(std::uint64_t sfc_value, std::uint8_t sfc_mask,
-           std::uint64_t mem_value, unsigned size)
-{
-    std::uint64_t out = 0;
-    for (unsigned i = 0; i < size; ++i) {
-        const std::uint64_t byte =
-            (sfc_mask & (1u << i))
-                ? (sfc_value >> (8 * i)) & 0xff
-                : (mem_value >> (8 * i)) & 0xff;
-        out |= byte << (8 * i);
-    }
-    return out;
-}
-
 } // namespace
+
+bool
+MemUnit::forwardLoad(const DynInst &inst, std::uint8_t fwd_mask,
+                     std::uint64_t fwd_value, MemIssueOutcome &out)
+{
+    std::uint64_t value = readCommitted(inst.addr, inst.size);
+    for (unsigned i = 0; i < inst.size; ++i) {
+        if (fwd_mask & (1u << i)) {
+            const std::uint64_t byte = std::uint64_t{0xff} << (8 * i);
+            value = (value & ~byte) | (fwd_value & byte);
+        }
+    }
+    out.load_value = value;
+    if (fwd_mask == static_cast<std::uint8_t>((1u << inst.size) - 1)) {
+        caches_.accessData(inst.addr);
+        return true;
+    }
+    out.extra_latency = caches_.accessData(inst.addr);
+    return false;
+}
 
 // ---------------------------------------------------------------------
 // MdtSfcUnit
@@ -78,17 +82,17 @@ MdtSfcUnit::MdtSfcUnit(const CoreConfig &cfg, MainMemory &mem,
       fifo_(cfg.rob_entries)
 {}
 
-bool
+void
 MdtSfcUnit::dispatchLoad(DynInst &)
 {
     // Loads need no queue slot: the MDT replaces the load queue.
-    return true;
 }
 
-bool
+void
 MdtSfcUnit::dispatchStore(DynInst &inst)
 {
-    return fifo_.allocate(inst.seq);
+    if (!fifo_.allocate(inst.seq))
+        panic("MdtSfcUnit::dispatchStore: store FIFO full");
 }
 
 void
@@ -130,39 +134,22 @@ MdtSfcUnit::issueLoad(DynInst &inst, bool at_rob_head)
     SLF_OBS_EMIT(trace_, obs::EventKind::SfcProbe, obs::Track::Sfc,
                  inst.seq, inst.pc, inst.addr, sfc.value,
                  sfcProbeDetail(sfc.status));
-    switch (sfc.status) {
-      case SfcLoadResult::Status::Corrupt:
+    if (sfc.status == SfcLoadResult::Status::Corrupt) {
         ++stats_[S::LoadReplaysSfcCorrupt];
         out.kind = MemIssueOutcome::Kind::Replay;
         out.replay_reason = ReplayReason::SfcCorrupt;
         return out;
-
-      case SfcLoadResult::Status::Partial:
-        if (!cfg_.partial_match_merges) {
-            ++stats_[S::LoadReplaysSfcPartial];
-            out.kind = MemIssueOutcome::Kind::Replay;
-            out.replay_reason = ReplayReason::SfcPartial;
-            return out;
-        }
-        out.load_value = mergeBytes(
-            sfc.value, sfc.valid_mask,
-            readCommitted(inst.addr, inst.size), inst.size);
-        out.extra_latency = caches_.accessData(inst.addr);
-        break;
-
-      case SfcLoadResult::Status::Full:
-        ++stats_[S::SfcForwards];
-        out.load_value = sfc.value;
-        // The L1D is accessed in parallel (keeps its contents warm) but
-        // the SFC supplies the data, so a miss costs nothing.
-        caches_.accessData(inst.addr);
-        break;
-
-      case SfcLoadResult::Status::Miss:
-        out.load_value = readCommitted(inst.addr, inst.size);
-        out.extra_latency = caches_.accessData(inst.addr);
-        break;
     }
+    if (sfc.status == SfcLoadResult::Status::Partial &&
+        !cfg_.partial_match_merges) {
+        ++stats_[S::LoadReplaysSfcPartial];
+        out.kind = MemIssueOutcome::Kind::Replay;
+        out.replay_reason = ReplayReason::SfcPartial;
+        return out;
+    }
+    // The SFC's valid bytes (none on a miss) over committed memory.
+    if (forwardLoad(inst, sfc.valid_mask, sfc.value, out))
+        ++stats_[S::SfcForwards];
 
     if (injector_)
         injector_->onMdtAccess(mdt_);
@@ -403,16 +390,18 @@ LsqUnit::canDispatchStore() const
     return lsq_.storeQueueSize() < lsq_.params().sq_entries;
 }
 
-bool
+void
 LsqUnit::dispatchLoad(DynInst &inst)
 {
-    return lsq_.dispatchLoad(inst.seq, inst.pc);
+    if (!lsq_.dispatchLoad(inst.seq, inst.pc))
+        panic("LsqUnit::dispatchLoad: load queue full");
 }
 
-bool
+void
 LsqUnit::dispatchStore(DynInst &inst)
 {
-    return lsq_.dispatchStore(inst.seq, inst.pc);
+    if (!lsq_.dispatchStore(inst.seq, inst.pc))
+        panic("LsqUnit::dispatchStore: store queue full");
 }
 
 MemIssueOutcome
@@ -421,18 +410,8 @@ LsqUnit::issueLoad(DynInst &inst, bool)
     MemIssueOutcome out;
     const LsqLoadResult fwd = lsq_.executeLoad(inst.seq, inst.addr,
                                                inst.size);
-    const std::uint8_t full_mask =
-        static_cast<std::uint8_t>((1u << inst.size) - 1);
-    out.load_value = mergeBytes(fwd.forward_value, fwd.forward_mask,
-                                readCommitted(inst.addr, inst.size),
-                                inst.size);
-    if (fwd.forward_mask == full_mask) {
-        // Fully bypassed from the store queue: single-cycle bypass.
+    if (forwardLoad(inst, fwd.forward_mask, fwd.forward_value, out))
         ++stats_[S::FullForwards];
-        caches_.accessData(inst.addr);
-    } else {
-        out.extra_latency = caches_.accessData(inst.addr);
-    }
     lsq_.loadCompleted(inst.seq, out.load_value);
     inst.mem_registered = true;
     return out;
@@ -508,7 +487,7 @@ makeMemUnit(const CoreConfig &cfg, MainMemory &mem, CacheHierarchy &caches,
       case MemSubsystem::MdtSfc:
         return std::make_unique<MdtSfcUnit>(cfg, mem, caches, memdep);
       case MemSubsystem::ValueReplay:
-        return std::make_unique<ValueReplayUnit>(cfg, mem, caches, memdep);
+        return std::make_unique<ValueReplayUnit>(cfg, mem, caches);
     }
     panic("makeMemUnit: unknown subsystem");
 }

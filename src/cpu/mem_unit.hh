@@ -90,9 +90,10 @@ class MemUnit
     virtual bool canDispatchLoad() const = 0;
     virtual bool canDispatchStore() const = 0;
 
-    /** @return false to stall dispatch (queue full). */
-    virtual bool dispatchLoad(DynInst &inst) = 0;
-    virtual bool dispatchStore(DynInst &inst) = 0;
+    /** Allocate the access's queue slot. The core calls these only
+     *  after the capacity check passed; a unit panics on overflow. */
+    virtual void dispatchLoad(DynInst &inst) = 0;
+    virtual void dispatchStore(DynInst &inst) = 0;
 
     /**
      * Issue an access. @p at_rob_head enables the head bypass.
@@ -163,6 +164,16 @@ class MemUnit
         return mem_.readBytes(addr, size);
     }
 
+    /**
+     * Complete a load whose bytes in @p fwd_mask (bit i = byte i) older
+     * in-flight stores supply as @p fwd_value, and the rest committed
+     * memory. A fully forwarded load takes the single-cycle bypass: the
+     * L1D is accessed in parallel (keeping it warm) but a miss costs
+     * nothing. @return whether every byte was forwarded.
+     */
+    bool forwardLoad(const DynInst &inst, std::uint8_t fwd_mask,
+                     std::uint64_t fwd_value, MemIssueOutcome &out);
+
     MainMemory &mem_;
     CacheHierarchy &caches_;
     obs::TraceSink *trace_ = nullptr;
@@ -177,8 +188,8 @@ class MdtSfcUnit : public MemUnit
 
     bool canDispatchLoad() const override { return true; }
     bool canDispatchStore() const override { return !fifo_.full(); }
-    bool dispatchLoad(DynInst &inst) override;
-    bool dispatchStore(DynInst &inst) override;
+    void dispatchLoad(DynInst &inst) override;
+    void dispatchStore(DynInst &inst) override;
     MemIssueOutcome issueLoad(DynInst &inst, bool at_rob_head) override;
     MemIssueOutcome issueStore(DynInst &inst, bool at_rob_head) override;
     bool retireLoad(DynInst &inst) override;
@@ -227,8 +238,8 @@ class LsqUnit : public MemUnit
 
     bool canDispatchLoad() const override;
     bool canDispatchStore() const override;
-    bool dispatchLoad(DynInst &inst) override;
-    bool dispatchStore(DynInst &inst) override;
+    void dispatchLoad(DynInst &inst) override;
+    void dispatchStore(DynInst &inst) override;
     MemIssueOutcome issueLoad(DynInst &inst, bool at_rob_head) override;
     MemIssueOutcome issueStore(DynInst &inst, bool at_rob_head) override;
     bool retireLoad(DynInst &inst) override;

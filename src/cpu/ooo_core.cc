@@ -816,13 +816,10 @@ OooCore::dispatchStage()
         }
 
         // Commit remaining resources.
-        if (isLoad(op)) {
-            if (!memu_->dispatchLoad(inst))
-                panic("dispatchLoad failed after capacity check");
-        } else if (isStore(op)) {
-            if (!memu_->dispatchStore(inst))
-                panic("dispatchStore failed after capacity check");
-        }
+        if (isLoad(op))
+            memu_->dispatchLoad(inst);
+        else if (isStore(op))
+            memu_->dispatchStore(inst);
 
         // Rename.
         if (readsSrc1(op))

@@ -6,45 +6,39 @@ namespace slf
 {
 
 ValueReplayUnit::ValueReplayUnit(const CoreConfig &cfg, MainMemory &mem,
-                                 CacheHierarchy &caches,
-                                 MemDepPredictor &memdep)
+                                 CacheHierarchy &caches)
     : MemUnit(mem, caches),
-      cfg_(cfg)
+      cfg_(cfg),
+      index_(cfg.lsq.lq_entries, cfg.lsq.sq_entries,
+             [&mem](Addr a) { return mem.read8(a); })
 {
-    (void)memdep;   // value-based replay cannot identify the producer PC
     dep_hint_.assign(1024, 0);
 }
 
 bool
 ValueReplayUnit::canDispatchLoad() const
 {
-    return lq_.size() < cfg_.lsq.lq_entries;
+    return index_.loadCount() < cfg_.lsq.lq_entries;
 }
 
 bool
 ValueReplayUnit::canDispatchStore() const
 {
-    return sq_.size() < cfg_.lsq.sq_entries;
+    return index_.storeCount() < cfg_.lsq.sq_entries;
 }
 
-bool
+void
 ValueReplayUnit::dispatchLoad(DynInst &inst)
 {
-    if (lq_.size() >= cfg_.lsq.lq_entries)
-        return false;
-    lq_.push_back(inst.seq);
-    return true;
+    if (!index_.dispatchLoad(inst.seq, inst.pc))
+        panic("ValueReplayUnit::dispatchLoad: load queue full");
 }
 
-bool
+void
 ValueReplayUnit::dispatchStore(DynInst &inst)
 {
-    if (sq_.size() >= cfg_.lsq.sq_entries)
-        return false;
-    StoreEntry e;
-    e.seq = inst.seq;
-    sq_.push_back(e);
-    return true;
+    if (!index_.dispatchStore(inst.seq, inst.pc))
+        panic("ValueReplayUnit::dispatchStore: store queue full");
 }
 
 MemIssueOutcome
@@ -52,59 +46,27 @@ ValueReplayUnit::issueLoad(DynInst &inst, bool)
 {
     MemIssueOutcome out;
 
-    // Associative store-queue search (kept by this scheme), with
-    // byte-accurate age-prioritized forwarding; the vulnerability flag
-    // records whether an older store's address was still unresolved.
-    // A hinted load conservatively waits until every older store
-    // address is resolved (the scheme's stand-in for a producer link).
-    if (dep_hint_[inst.pc & 1023]) {
-        for (const StoreEntry &se : sq_) {
-            if (se.seq < inst.seq && !se.executed) {
-                out.kind = MemIssueOutcome::Kind::Replay;
-                out.replay_reason = ReplayReason::DepWait;
-                return out;
-            }
-        }
+    // A load that issues while an older store's address is unresolved
+    // is vulnerable: only those replay at retirement when filtered. A
+    // hinted load conservatively waits until every older store address
+    // is resolved (the scheme's stand-in for a producer link).
+    const bool vulnerable = index_.unresolvedStoreBefore(inst.seq);
+    if (vulnerable && dep_hint_[inst.pc & 1023]) {
+        out.kind = MemIssueOutcome::Kind::Replay;
+        out.replay_reason = ReplayReason::DepWait;
+        return out;
     }
 
+    // Associative store-queue search (kept by this scheme): the
+    // youngest older store supplies each byte.
     ++stats_[S::SqSearches];
-    stats_[S::CamEntriesExamined] += sq_.size();
-
-    std::uint64_t value = readCommitted(inst.addr, inst.size);
-    std::uint8_t fwd_mask = 0;
-    bool vulnerable = false;
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        const StoreEntry &se = *it;
-        if (se.seq >= inst.seq)
-            continue;
-        if (!se.executed) {
-            vulnerable = true;
-            continue;
-        }
-        for (unsigned i = 0; i < inst.size; ++i) {
-            const std::uint8_t bit = static_cast<std::uint8_t>(1u << i);
-            if (fwd_mask & bit)
-                continue;
-            const Addr b = inst.addr + i;
-            if (b >= se.addr && b < se.addr + se.size) {
-                const unsigned off = static_cast<unsigned>(b - se.addr);
-                value &= ~(std::uint64_t{0xff} << (8 * i));
-                value |= std::uint64_t{static_cast<std::uint8_t>(
-                             se.value >> (8 * off))}
-                         << (8 * i);
-                fwd_mask |= bit;
-            }
-        }
-    }
-    if (fwd_mask == static_cast<std::uint8_t>((1u << inst.size) - 1)) {
+    stats_[S::CamEntriesExamined] += index_.storeCount();
+    const OrderIndex::Forward f =
+        index_.executeLoad(inst.seq, inst.addr, inst.size);
+    if (forwardLoad(inst, f.mask, f.value, out))
         ++stats_[S::FullForwards];
-        caches_.accessData(inst.addr);
-    } else {
-        out.extra_latency = caches_.accessData(inst.addr);
-    }
 
     inst.replay_vulnerable = vulnerable;
-    out.load_value = value;
     return out;
 }
 
@@ -113,25 +75,15 @@ ValueReplayUnit::issueStore(DynInst &inst, bool)
 {
     // No load-queue search: violations surface at load retirement.
     ++store_exec_count_;
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        if (it->seq == inst.seq) {
-            it->executed = true;
-            it->addr = inst.addr;
-            it->size = inst.size;
-            it->value = inst.store_value;
-            return MemIssueOutcome{};
-        }
-    }
-    panic("ValueReplayUnit::issueStore: store not dispatched");
+    index_.executeStore(inst.seq, inst.addr, inst.size, inst.store_value);
+    return MemIssueOutcome{};
 }
 
 bool
 ValueReplayUnit::retireLoad(DynInst &inst)
 {
-    if (lq_.empty() || lq_.front() != inst.seq)
-        panic("ValueReplayUnit::retireLoad: head mismatch");
     if (cfg_.value_replay_filtered && !inst.replay_vulnerable) {
-        lq_.pop_front();
+        index_.retireLoad(inst.seq);
         return true;
     }
 
@@ -141,10 +93,10 @@ ValueReplayUnit::retireLoad(DynInst &inst)
     caches_.accessData(inst.addr);
     const std::uint64_t now = readCommitted(inst.addr, inst.size);
     if (now == inst.result) {
-        lq_.pop_front();
+        index_.retireLoad(inst.seq);
         return true;
     }
-    // The load (still at the head, not popped) will be squashed and
+    // The load (still at the head, not retired) will be squashed and
     // refetched by the core. Remember its PC so later encounters wait
     // for older stores instead of speculating.
     ++stats_[S::RetireViolations];
@@ -155,23 +107,15 @@ ValueReplayUnit::retireLoad(DynInst &inst)
 void
 ValueReplayUnit::retireStore(DynInst &inst)
 {
-    if (sq_.empty() || sq_.front().seq != inst.seq)
-        panic("ValueReplayUnit::retireStore: head mismatch");
-    const StoreEntry &se = sq_.front();
-    if (!se.executed)
-        panic("ValueReplayUnit::retireStore: unexecuted store retiring");
-    mem_.writeBytes(se.addr, se.value, se.size);
-    caches_.accessData(se.addr);
-    sq_.pop_front();
+    const OrderIndex::StoreData data = index_.retireStore(inst.seq);
+    mem_.writeBytes(data.addr, data.value, data.size);
+    caches_.accessData(data.addr);
 }
 
 void
 ValueReplayUnit::squashFrom(SeqNum seq)
 {
-    while (!sq_.empty() && sq_.back().seq >= seq)
-        sq_.pop_back();
-    while (!lq_.empty() && lq_.back() >= seq)
-        lq_.pop_back();
+    index_.squashFrom(seq);
 }
 
 void
@@ -186,8 +130,9 @@ ValueReplayUnit::exportStats(SimResult &r) const
 void
 ValueReplayUnit::snapshotOccupancy(obs::OccSnapshot &snap) const
 {
-    snap.set(obs::OccStat::LoadQ, lq_.size(), cfg_.lsq.lq_entries);
-    snap.set(obs::OccStat::StoreQ, sq_.size(), cfg_.lsq.sq_entries);
+    snap.set(obs::OccStat::LoadQ, index_.loadCount(), cfg_.lsq.lq_entries);
+    snap.set(obs::OccStat::StoreQ, index_.storeCount(),
+             cfg_.lsq.sq_entries);
 }
 
 } // namespace slf

@@ -11,12 +11,17 @@
  *    value obtained at retirement does not match the value obtained at
  *    completion, then a memory dependence violation has occurred."
  *
- * The load queue is a plain FIFO (no CAM); the store queue keeps its
- * associative forwarding search. The paper's critique — which the
- * value_replay sweep reproduces — is that deferring
- * detection to retirement greatly increases the violation penalty in
- * checkpointed large-window processors, so completion-time
- * disambiguation (the MDT) is preferable there.
+ * The store queue keeps its associative forwarding search; the load
+ * queue is a plain FIFO (no CAM). Both live in an OrderIndex, the
+ * age-ordered queue the LSQ baseline also uses. A load executes there
+ * for its forwarded bytes but never completes, so executing stores
+ * check no load. The unit counts the modelled searches and their CAM
+ * activity (the occupied store queue per search) itself.
+ *
+ * The paper's critique — which the value_replay sweep reproduces — is
+ * that deferring detection to retirement greatly increases the
+ * violation penalty in checkpointed large-window processors, so
+ * completion-time disambiguation (the MDT) is preferable there.
  *
  * `replay_filtered` implements the vulnerability filter: only loads
  * that issued while an older store's address was still unresolved
@@ -27,9 +32,8 @@
 #ifndef SLFWD_CPU_VALUE_REPLAY_UNIT_HH_
 #define SLFWD_CPU_VALUE_REPLAY_UNIT_HH_
 
-#include <deque>
-
 #include "cpu/mem_unit.hh"
+#include "lsq/order_index.hh"
 
 namespace slf
 {
@@ -38,12 +42,12 @@ class ValueReplayUnit : public MemUnit
 {
   public:
     ValueReplayUnit(const CoreConfig &cfg, MainMemory &mem,
-                    CacheHierarchy &caches, MemDepPredictor &memdep);
+                    CacheHierarchy &caches);
 
     bool canDispatchLoad() const override;
     bool canDispatchStore() const override;
-    bool dispatchLoad(DynInst &inst) override;
-    bool dispatchStore(DynInst &inst) override;
+    void dispatchLoad(DynInst &inst) override;
+    void dispatchStore(DynInst &inst) override;
     MemIssueOutcome issueLoad(DynInst &inst, bool at_rob_head) override;
     MemIssueOutcome issueStore(DynInst &inst, bool at_rob_head) override;
     bool retireLoad(DynInst &inst) override;
@@ -66,18 +70,8 @@ class ValueReplayUnit : public MemUnit
     }
 
   private:
-    struct StoreEntry
-    {
-        SeqNum seq = kInvalidSeqNum;
-        bool executed = false;
-        Addr addr = 0;
-        unsigned size = 0;
-        std::uint64_t value = 0;
-    };
-
     const CoreConfig &cfg_;
-    std::deque<StoreEntry> sq_;
-    std::deque<SeqNum> lq_;   ///< plain FIFO: no CAM, no search
+    OrderIndex index_;
 
     /**
      * Load-PC dependence hints (the predictor value-based schemes pair

@@ -17,6 +17,7 @@
  * Those counters model the hardware: every search examines the whole
  * occupied queue. The host does far less work: Lsq is a thin wrapper
  * over an OrderIndex, which finds the same answers from per-word lists.
+ * The value-replay unit forwards from an OrderIndex of its own.
  */
 
 #ifndef SLFWD_LSQ_LSQ_HH_

@@ -267,6 +267,20 @@ OrderIndex::executeLoad(SeqNum seq, Addr addr, unsigned size)
     return forward(seq, span);
 }
 
+bool
+OrderIndex::unresolvedStoreBefore(SeqNum seq) const
+{
+    // The ring is in seq order: stop at the first store not older.
+    for (std::size_t i = 0; i < stores_.count; ++i) {
+        const Entry &e = stores_.ring[stores_.slot(i)];
+        if (e.seq >= seq)
+            return false;
+        if (!e.executed)
+            return true;
+    }
+    return false;
+}
+
 void
 OrderIndex::completeLoad(SeqNum seq, std::uint64_t value)
 {

@@ -24,8 +24,13 @@
  * linking and unlinking never branch. Nothing is allocated after
  * construction.
  *
+ * It has two users: the idealized LSQ (Lsq), and the value-replay
+ * unit (ValueReplayUnit), which forwards from it but never completes a
+ * load, so its stores check none, and asks it whether a store older
+ * than a load is still unresolved.
+ *
  * The index keeps no statistics: the modelled CAM activity of the
- * associative queue is the caller's to count (see Lsq).
+ * associative queue is the caller's to count.
  */
 
 #ifndef SLFWD_LSQ_ORDER_INDEX_HH_
@@ -85,6 +90,10 @@ class OrderIndex
 
     /** A load executes: per byte, the youngest older executed store. */
     Forward executeLoad(SeqNum seq, Addr addr, unsigned size);
+
+    /** Whether a store older than @p seq has not executed, so its
+     *  address is still unknown. */
+    bool unresolvedStoreBefore(SeqNum seq) const;
 
     /** A load obtained @p value; it is checked by later stores. */
     void completeLoad(SeqNum seq, std::uint64_t value);

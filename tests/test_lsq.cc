@@ -226,6 +226,32 @@ TEST_F(LsqFixture, ValueCheckConsultsCommittedMemory)
     ASSERT_TRUE(v.has_value());
 }
 
+TEST(OrderIndex, UnresolvedStoreBeforeIsBoundedBySeq)
+{
+    OrderIndex idx(4, 4, [](Addr) { return std::uint8_t{0}; });
+    idx.dispatchStore(3, 30);
+    idx.dispatchLoad(4, 40);
+    idx.dispatchStore(5, 50);
+
+    // Store 3 is unexecuted: a store at exactly seq 3 is not older,
+    // but it is just older than load 4.
+    EXPECT_FALSE(idx.unresolvedStoreBefore(3));
+    EXPECT_TRUE(idx.unresolvedStoreBefore(4));
+
+    // Once store 3 executes only store 5, not older than 5, is left.
+    idx.executeStore(3, 0x100, 8, 1);
+    EXPECT_FALSE(idx.unresolvedStoreBefore(4));
+    EXPECT_FALSE(idx.unresolvedStoreBefore(5));
+    EXPECT_TRUE(idx.unresolvedStoreBefore(6));
+
+    // A squash drops the executed store; its re-dispatch is unresolved.
+    idx.squashFrom(3);
+    EXPECT_FALSE(idx.unresolvedStoreBefore(4));
+    idx.dispatchStore(3, 30);
+    idx.dispatchLoad(4, 40);
+    EXPECT_TRUE(idx.unresolvedStoreBefore(4));
+}
+
 // ---------------------------------------------------------------------
 // Seeded random stream: dispatch, execute, complete, retire and squash
 // in the orders an out-of-order core produces, over a few words with

@@ -231,6 +231,18 @@ TEST_F(MdtSfcFixture, SquashDrainsStoreFifo)
     EXPECT_EQ(unit.storeFifo().size(), 1u);
 }
 
+TEST_F(MdtSfcFixture, StoreFifoOverflowPanics)
+{
+    SeqNum seq = 1;
+    while (unit.canDispatchStore()) {
+        DynInst st = makeStore(seq++, 0x100, 0);
+        unit.dispatchStore(st);
+    }
+    EXPECT_EQ(seq, cfg.rob_entries + 1);
+    DynInst st = makeStore(seq, 0x100, 0);
+    EXPECT_DEATH(unit.dispatchStore(st), "store FIFO full");
+}
+
 TEST_F(MdtSfcFixture, PartialMatchMergesFromMemory)
 {
     mem.writeBytes(0x100, 0xffffffffffffffffull, 8);
@@ -334,4 +346,12 @@ TEST(LsqUnitTest, CapacityChecksMatchQueueSizes)
     EXPECT_TRUE(unit.canDispatchStore());
     unit.dispatchStore(s);
     EXPECT_FALSE(unit.canDispatchStore());
+
+    // The core checks capacity first, so an overflow is a simulator bug.
+    DynInst c = a;
+    c.seq = 5;
+    EXPECT_DEATH(unit.dispatchLoad(c), "load queue full");
+    DynInst t = s;
+    t.seq = 6;
+    EXPECT_DEATH(unit.dispatchStore(t), "store queue full");
 }

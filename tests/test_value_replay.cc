@@ -16,8 +16,7 @@ struct VbrFixture : ::testing::Test
     VbrFixture()
         : cfg(makeCfg()),
           caches(cfg.l1i, cfg.l1d, cfg.l2),
-          memdep(cfg.memdep),
-          unit(cfg, mem, caches, memdep)
+          unit(cfg, mem, caches)
     {}
 
     static CoreConfig
@@ -58,7 +57,6 @@ struct VbrFixture : ::testing::Test
     CoreConfig cfg;
     MainMemory mem;
     CacheHierarchy caches;
-    MemDepPredictor memdep;
     ValueReplayUnit unit;
 };
 
@@ -160,18 +158,68 @@ TEST_F(VbrFixture, DepHintMakesLaterLoadsWait)
     EXPECT_EQ(retry.load_value, 0x77u);
 }
 
+TEST_F(VbrFixture, ForwardsFromStoreStraddlingAWordBoundary)
+{
+    mem.writeBytes(0x108, 0xaaaaaaaaaaaaaaaa, 8);
+    DynInst st = makeStore(5, 0x104, 0x8877665544332211);
+    unit.dispatchStore(st);
+    unit.issueStore(st, false);
+
+    // Bytes 0x108..0x10b come from the store's upper half, the rest
+    // from memory.
+    DynInst ld = makeLoad(6, 0x108);
+    unit.dispatchLoad(ld);
+    EXPECT_EQ(unit.issueLoad(ld, false).load_value, 0xaaaaaaaa88776655u);
+
+    // A 4-byte load across the same boundary is fully forwarded.
+    DynInst sub = makeLoad(7, 0x106);
+    sub.size = 4;
+    unit.dispatchLoad(sub);
+    EXPECT_EQ(unit.issueLoad(sub, false).load_value, 0x66554433u);
+    EXPECT_EQ(unit.statValue(obs::ValueReplayUnitStat::FullForwards), 1u);
+}
+
+TEST_F(VbrFixture, YoungestOlderStoreWinsEachByte)
+{
+    DynInst st1 = makeStore(5, 0x100, 0x1111111111111111);
+    DynInst st2 = makeStore(6, 0x102, 0x22222222);
+    st2.size = 4;
+    DynInst ld = makeLoad(7, 0x100);
+    DynInst st3 = makeStore(8, 0x100, 0x3333333333333333);
+    unit.dispatchStore(st1);
+    unit.dispatchStore(st2);
+    unit.dispatchLoad(ld);
+    unit.dispatchStore(st3);
+    // Execution order is not age order; the younger store st3 never
+    // forwards to the older load.
+    unit.issueStore(st3, false);
+    unit.issueStore(st2, false);
+    unit.issueStore(st1, false);
+
+    const MemIssueOutcome lo = unit.issueLoad(ld, false);
+    EXPECT_EQ(lo.load_value, 0x1111222222221111u);
+    EXPECT_EQ(lo.extra_latency, 0u);
+    EXPECT_FALSE(ld.replay_vulnerable);
+    EXPECT_EQ(unit.statValue(obs::ValueReplayUnitStat::FullForwards), 1u);
+}
+
 TEST_F(VbrFixture, QueueCapacityChecks)
 {
     for (SeqNum s = 1; s <= 4; ++s) {
         DynInst ld = makeLoad(s, 0x100);
-        EXPECT_TRUE(unit.dispatchLoad(ld));
+        unit.dispatchLoad(ld);
     }
     EXPECT_FALSE(unit.canDispatchLoad());
     for (SeqNum s = 5; s <= 8; ++s) {
         DynInst st = makeStore(s, 0x200, 0);
-        EXPECT_TRUE(unit.dispatchStore(st));
+        unit.dispatchStore(st);
     }
     EXPECT_FALSE(unit.canDispatchStore());
+    // The core checks capacity first, so an overflow is a simulator bug.
+    DynInst ld = makeLoad(9, 0x100);
+    EXPECT_DEATH(unit.dispatchLoad(ld), "load queue full");
+    DynInst st = makeStore(10, 0x200, 0);
+    EXPECT_DEATH(unit.dispatchStore(st), "store queue full");
 }
 
 TEST_F(VbrFixture, SquashDropsBothQueues)
